@@ -183,6 +183,10 @@ class SignatureBackend(abc.ABC):
         """The indices of the touched paths, in increasing order."""
 
     @abc.abstractmethod
+    def to_int(self, signature) -> int:
+        """The signature as a Python big-int bitmask (inverse of :meth:`pack`)."""
+
+    @abc.abstractmethod
     def indicator_vector(self, signature) -> Tuple[int, ...]:
         """The 0/1 vector of length ``n_paths`` (the Boolean measurement)."""
 
@@ -270,6 +274,9 @@ class PythonBackend(SignatureBackend):
     def bits(self, signature: int) -> Iterator[int]:
         return bits_of(signature)
 
+    def to_int(self, signature: int) -> int:
+        return signature
+
     def indicator_vector(self, signature: int) -> Tuple[int, ...]:
         vector = [0] * self.n_paths
         for index in bits_of(signature):
@@ -330,6 +337,9 @@ class NumpyBackend(SignatureBackend):
         # round-tripped every query through a Python big int.
         unpacked = _np.unpackbits(signature.view(_np.uint8), bitorder="little")
         return iter(_np.nonzero(unpacked)[0].tolist())
+
+    def to_int(self, signature) -> int:
+        return int.from_bytes(signature.tobytes(), "little")
 
     def indicator_vector(self, signature) -> Tuple[int, ...]:
         unpacked = _np.unpackbits(

@@ -40,6 +40,9 @@ The one engine output phrased in path indices — the Boolean measurement
 vector of Equation (1) — is mapped back through :meth:`CompressionPlan.expand_indices`,
 so callers keep seeing original path indices; the plan records the full
 ``class_of`` index remap and per-class ``multiplicity`` for that purpose.
+In the other direction, :meth:`CompressionPlan.fold_observations` folds an
+observed vector onto the classes so the localiser runs on compressed rows
+too; an observation that is not class-closed has no explanation.
 
 Compression is on by default.  :func:`select_compression` /
 :func:`compression_policy` mirror the backend-policy API so benchmarks, the
@@ -184,6 +187,16 @@ class CompressionPlan:
         """Original-space bitmask of each compressed column's members."""
         return tuple(mask_from_indices(list(group)) for group in self.members)
 
+    @cached_property
+    def _fold_index(self) -> Tuple[int, ...]:
+        """Compressed column of every original column; dropped (all-zero)
+        columns map to the sentinel ``n_compressed``."""
+        index = [self.n_compressed] * self.n_original
+        for compressed_index, group in enumerate(self.members):
+            for original_index in group:
+                index[original_index] = compressed_index
+        return tuple(index)
+
     # -- mask translation ---------------------------------------------------
     def compress_mask(self, mask: int) -> int:
         """Map an original-space path mask into the compressed space.
@@ -233,6 +246,23 @@ class CompressionPlan:
             for original_index in self.members[index]:
                 vector[original_index] = 1
         return tuple(vector)
+
+    def fold_observations(self, observations: bytes) -> Optional[bytes]:
+        """Fold a 0/1 observation vector over the original paths onto the
+        compressed columns.
+
+        ``observations`` holds one byte (0 or 1) per original path.  Returns
+        one byte per class, or ``None`` when no element set explains the
+        observations: the members of a class disagree (equal touch-sets are
+        hit by exactly the same elements), or a dropped all-zero column
+        reports a failure (no element crosses it).  Both checks are one
+        C-level gather and one comparison over the original width.
+        """
+        folded = bytes(map(observations.__getitem__, self.representatives))
+        padded = folded + b"\x00"
+        if bytes(map(padded.__getitem__, self._fold_index)) != observations:
+            return None
+        return folded
 
     # -- incremental patching ------------------------------------------------
     def patch(

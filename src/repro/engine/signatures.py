@@ -123,6 +123,7 @@ import threading
 import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Any,
     Dict,
@@ -1420,6 +1421,27 @@ class SignatureEngine:
         if self.compression is not None:
             return self.compression.expand_indicator(self.backend.bits(signature))
         return self.backend.indicator_vector(signature)
+
+    @cached_property
+    def row_table(self) -> Tuple[Tuple[Node, int], ...]:
+        """Every element with its row as a Python big int over the internal
+        (compressed, when ``self.compression`` is set) columns, in ``repr``
+        order.
+
+        The candidate table of the localiser
+        (:func:`repro.tomography.inference.consistent_sets`), built on first
+        use and reused by every later trial on this engine.
+        """
+        to_int = self.backend.to_int
+        return tuple(
+            sorted(
+                (
+                    (element, to_int(self._signatures[element]))
+                    for element in self.nodes
+                ),
+                key=lambda item: repr(item[0]),
+            )
+        )
 
     # -- equivalence classes -------------------------------------------------
     def equivalence_classes(

@@ -7,10 +7,13 @@ of solutions of::
 
 where ``b_p`` is the bit received at the end monitor of path ``p`` (1 = some
 node on ``p`` failed) and ``x_v`` is true iff node ``v`` failed.  This module
-represents the system explicitly, evaluates candidate assignments, and
-enumerates its solutions up to a failure-set size bound.  It is the substrate
-the identifiability theory reasons about, and the inference layer
-(:mod:`repro.tomography.inference`) builds on it.
+represents the system explicitly, clause by clause, evaluates candidate
+assignments, and enumerates its solutions up to a failure-set size bound.
+It is the definition the identifiability theory reasons about and the
+reference the tests check the localiser against; production localisation
+does not build it — :func:`repro.tomography.inference.consistent_sets`
+solves the same system on the signature engine's packed rows.  The forward
+model :func:`measurement_vector` lives here too and does run in production.
 """
 
 from __future__ import annotations

@@ -1,10 +1,18 @@
 """Failure-set inference from Boolean end-to-end measurements.
 
-Given a path set and the measurement vector, the consistent failure sets are
-exactly the solutions of the Boolean system (Equation 1).  Identifiability is
-the statement that, among failure sets of size at most k, the solution is
-unique — this module turns that statement into an operational localiser and a
-report object used by the examples and the what-if analyses.
+Given the measurement vector, the consistent failure sets are exactly the
+solutions of the Boolean system of Equation (1).  :func:`consistent_sets`
+finds them for every failure universe — nodes, links, SRLGs — on the
+signature engine's rows rather than clause by clause: an element can fail
+only if its row touches no healthy path, and a set of such elements explains
+the observations iff its rows cover every failing path.  Under compression
+this runs on the distinct path columns of the engine's
+:class:`~repro.engine.compress.CompressionPlan`.  (The clause form in
+:mod:`repro.tomography.boolean_system` is kept as the reference the tests
+check this against.)  Identifiability is the statement that, among failure
+sets of size at most k, the solution is unique — this module turns that
+statement into an operational localiser and a report object used by the
+examples and the what-if analyses.
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ import itertools
 
 from repro._typing import MeasurementVector, Node
 from repro.exceptions import IdentifiabilityError
+from repro.engine.signatures import SignatureEngine
 from repro.failures.universe import FailureUniverse
 from repro.routing.paths import PathSet
-from repro.tomography.boolean_system import BooleanSystem, measurement_vector
-from repro.utils.bitset import mask_from_indices
+from repro.tomography.boolean_system import measurement_vector
 
 
 @dataclass(frozen=True)
@@ -62,15 +70,94 @@ class LocalizationResult:
         return truth in self.consistent_sets
 
 
+_ASCII_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _observation_bytes(observations: Sequence[int], n_paths: int) -> bytes:
+    """Validate an observation vector and return it as one 0/1 byte per path."""
+    if len(observations) != n_paths:
+        raise IdentifiabilityError(
+            f"expected {n_paths} observations, got {len(observations)}"
+        )
+    try:
+        raw = bytes(observations)
+    except (TypeError, ValueError):
+        raw = b""
+    if len(raw) != n_paths or raw.translate(None, b"\x00\x01"):
+        # Slow path: floats, wide-dtype numpy arrays, or a malformed vector.
+        for bit in observations:
+            if bit not in (0, 1):
+                raise IdentifiabilityError(
+                    f"observation must be 0 or 1, got {bit!r}"
+                )
+        raw = bytes(1 if bit else 0 for bit in observations)
+    return raw
+
+
+def consistent_sets(
+    engine: SignatureEngine,
+    observations: Sequence[int],
+    max_failures: int,
+    within: Optional[Iterable[Node]] = None,
+) -> Tuple[FrozenSet[Node], ...]:
+    """All element sets of size ≤ ``max_failures`` consistent with the
+    observations: the solutions of Equation (1) over ``engine``'s universe.
+
+    The localiser of every failure universe.  It runs on the engine's
+    internal columns: under compression the observations are first folded
+    onto the :class:`~repro.engine.compress.CompressionPlan` classes (a
+    class whose paths disagree, or a failing path no element crosses, has
+    no explanation, so the answer is ``()``).  A candidate is a row of
+    :attr:`SignatureEngine.row_table` that touches the failing columns and
+    none of the healthy ones, and a candidate set is consistent iff the union
+    of its rows covers every failing column.  Sets are enumerated size
+    ascending, ``repr``-sorted within a size.  ``within`` optionally
+    restricts the candidate elements.
+    """
+    if max_failures < 0:
+        raise IdentifiabilityError(
+            f"max_failures must be >= 0, got {max_failures}"
+        )
+    columns = _observation_bytes(observations, engine.n_paths)
+    if engine.compression is not None:
+        columns = engine.compression.fold_observations(columns)
+        if columns is None:
+            return ()
+    # Bit i of the mask is byte i of the columns (base-2 parse, linear time).
+    failing = int(columns[::-1].translate(_ASCII_BITS), 2) if columns else 0
+    healthy = ((1 << len(columns)) - 1) ^ failing
+    candidates = [
+        (element, row) for element, row in engine.row_table
+        if row and not row & healthy
+    ]
+    if within is not None:
+        allowed = frozenset(within)
+        candidates = [item for item in candidates if item[0] in allowed]
+    reachable = 0
+    for _, row in candidates:
+        reachable |= row
+    if reachable != failing:
+        return ()  # some failing column no candidate crosses
+    solutions = []
+    for size in range(0, max_failures + 1):
+        for combo in itertools.combinations(candidates, size):
+            covered = 0
+            for _, row in combo:
+                covered |= row
+            if covered == failing:
+                solutions.append(frozenset(element for element, _ in combo))
+    return tuple(solutions)
+
+
 def consistent_failure_sets(
     pathset: PathSet,
     observations: Sequence[int],
     max_failures: int,
     universe: Optional[Iterable[Node]] = None,
 ) -> Tuple[FrozenSet[Node], ...]:
-    """All failure sets of size ≤ ``max_failures`` consistent with the observations."""
-    system = BooleanSystem.from_measurements(pathset, tuple(observations))
-    return tuple(system.solutions(max_failures, universe))
+    """All node failure sets of size ≤ ``max_failures`` consistent with the
+    observations; ``universe`` optionally restricts the candidate nodes."""
+    return consistent_sets(pathset.engine(), observations, max_failures, universe)
 
 
 def localize_failures(
@@ -79,9 +166,7 @@ def localize_failures(
     max_failures: int,
     universe: Optional[Iterable[Node]] = None,
 ) -> LocalizationResult:
-    """Run the Boolean localiser and report uniqueness/ambiguity."""
-    if max_failures < 0:
-        raise IdentifiabilityError(f"max_failures must be >= 0, got {max_failures}")
+    """Localise node failures and report uniqueness/ambiguity."""
     sets = consistent_failure_sets(pathset, observations, max_failures, universe)
     return LocalizationResult(consistent_sets=sets, max_failures=max_failures)
 
@@ -94,54 +179,15 @@ def consistent_element_sets(
     """All element sets of size ≤ ``max_failures`` consistent with the
     observations, over an arbitrary failure universe.
 
-    The mask-native restatement of :meth:`BooleanSystem.solutions
-    <repro.tomography.boolean_system.BooleanSystem.solutions>`: a candidate
-    element must touch some failing path and no healthy path, and a candidate
-    set is consistent iff the union of its masks covers every failing path.
-    For the node universe this enumerates exactly the sets the clause-based
-    localiser finds, in the same (size-ascending, repr-sorted) order — the
-    parity tests hold it to that.
+    Runs :func:`consistent_sets` on the universe's engine (memoised on the
+    owning path set; built afresh for a hand-built universe).
     """
-    if max_failures < 0:
-        raise IdentifiabilityError(
-            f"max_failures must be >= 0, got {max_failures}"
-        )
-    if len(observations) != universe.n_paths:
-        raise IdentifiabilityError(
-            f"expected {universe.n_paths} observations, got {len(observations)}"
-        )
-    for bit in observations:
-        if bit not in (0, 1):
-            # Same contract as the clause-based node localiser, which
-            # rejects malformed vectors in BooleanEquation.__post_init__.
-            raise IdentifiabilityError(
-                f"observation must be 0 or 1, got {bit!r}"
-            )
-    failing = mask_from_indices(
-        [i for i, bit in enumerate(observations) if bit]
-    )
-    healthy = mask_from_indices(
-        [i for i, bit in enumerate(observations) if not bit]
-    )
-    candidates = sorted(
-        (
-            element
-            for element in universe.elements
-            if universe.mask(element) & failing
-            and not universe.mask(element) & healthy
-        ),
-        key=repr,
-    )
-    masks = {element: universe.mask(element) for element in candidates}
-    solutions = []
-    for size in range(0, max_failures + 1):
-        for combo in itertools.combinations(candidates, size):
-            covered = 0
-            for element in combo:
-                covered |= masks[element]
-            if covered == failing:
-                solutions.append(frozenset(combo))
-    return tuple(solutions)
+    owner = universe.owner
+    if isinstance(owner, PathSet):
+        engine = owner.engine(universe=universe)
+    else:
+        engine = SignatureEngine.from_universe(universe)
+    return consistent_sets(engine, observations, max_failures)
 
 
 def localize_element_failures(
@@ -149,7 +195,7 @@ def localize_element_failures(
     observations: Sequence[int],
     max_failures: int,
 ) -> LocalizationResult:
-    """Run the Boolean localiser over an arbitrary failure universe."""
+    """Localise failures over an arbitrary failure universe."""
     sets = consistent_element_sets(universe, observations, max_failures)
     return LocalizationResult(consistent_sets=sets, max_failures=max_failures)
 

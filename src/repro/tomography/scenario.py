@@ -6,7 +6,9 @@ measurement path set and can
 
 * simulate random failure sets of a given size,
 * produce the Boolean measurement vector each failure generates,
-* run the localiser and report whether the failure was uniquely identified,
+* run the localiser — :func:`~repro.tomography.inference.consistent_sets`
+  on the session's signature engine, for every failure universe — and report
+  whether the failure was uniquely identified,
 * aggregate success rates over many trials (used by the examples and the
   ablation benchmarks to connect µ with operational localisation accuracy).
 """
@@ -27,11 +29,7 @@ from repro.monitors.placement import MonitorPlacement
 from repro.routing.mechanisms import RoutingMechanism
 from repro.routing.paths import PathSet, enumerate_paths
 from repro.tomography.boolean_system import measurement_vector
-from repro.tomography.inference import (
-    LocalizationResult,
-    localize_element_failures,
-    localize_failures,
-)
+from repro.tomography.inference import LocalizationResult, consistent_sets
 from repro.utils.seeds import RngLike, resolve_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api sits above)
@@ -74,7 +72,9 @@ class TomographySession:
     """Owns the measurement paths of ``(graph, placement, mechanism)``.
 
     Parameters mirror :func:`repro.routing.paths.enumerate_paths`; the path
-    set is computed eagerly at construction so repeated trials are cheap.
+    set and its signature engine are built eagerly at construction, and every
+    trial measures and localises on that engine's (compressed) columns, so
+    repeated trials are cheap.
 
     ``universe`` selects the failure universe the session simulates and
     localises over: ``None``/``"node"`` (the default, bit-identical to the
@@ -166,10 +166,14 @@ class TomographySession:
     def localize(
         self, observations: Sequence[int], max_failures: int
     ) -> LocalizationResult:
-        """Run the localiser on an observation vector."""
-        if self._node_mode:
-            return localize_failures(self.pathset, observations, max_failures)
-        return localize_element_failures(self.universe, observations, max_failures)
+        """Run the localiser on an observation vector.
+
+        Every universe goes through :func:`~repro.tomography.inference.consistent_sets`
+        on the session's engine, so trials share its compressed columns and
+        its candidate row table.
+        """
+        sets = consistent_sets(self.engine, observations, max_failures)
+        return LocalizationResult(consistent_sets=sets, max_failures=max_failures)
 
     # -- simulation ---------------------------------------------------------
     def sample_failure_set(self, size: int, rng: RngLike = None) -> FrozenSet[Node]:

@@ -13,6 +13,7 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import warnings
@@ -247,6 +248,33 @@ class TestFacadeParity:
         assert facade.n_unique == direct.n_unique
         assert facade.mean_ambiguity == direct.mean_ambiguity
         assert facade.mu == session.mu
+
+    @staticmethod
+    def _mu_and_localization(engine: EngineConfig) -> Scenario:
+        grid = directed_grid(4)
+        scenario = Scenario.from_components(
+            grid, chi_g(grid), seed=5, engine=engine,
+            failures=FailureModel(size=1, n_trials=3),
+        )
+        return Scenario(dataclasses.replace(
+            scenario.spec,
+            analyses=(AnalysisSpec("mu"), AnalysisSpec("localization")),
+        ))
+
+    def test_mu_and_localization_share_one_engine_search(self):
+        from repro.engine.signatures import search_counters
+
+        scenario = self._mu_and_localization(EngineConfig())
+        before = search_counters().searches
+        reports = scenario.run_all()
+        assert search_counters().searches - before == 1
+        assert reports["localization"].mu == reports["mu"].value == 2
+
+    def test_budgeted_localization_reports_the_budgeted_mu(self):
+        reports = self._mu_and_localization(EngineConfig(subset_budget=10)).run_all()
+        # The budget truncates the search below the exact µ = 2 (Theorem 4.8).
+        assert reports["mu"].value == 1
+        assert reports["localization"].mu == reports["mu"].value
 
 
 class TestDriverSpecParity:

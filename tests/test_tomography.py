@@ -148,9 +148,10 @@ class TestTomographySession:
     def test_session_mu_matches_direct_computation(self, directed_grid_3):
         placement = chi_g(directed_grid_3)
         session = TomographySession(directed_grid_3, placement)
-        from repro.core.identifiability import mu
+        from repro.api.scenario import Scenario
 
-        assert session.mu == mu(directed_grid_3, placement)
+        scenario = Scenario.from_components(directed_grid_3, placement)
+        assert session.mu == scenario.mu().value
 
     def test_measure_and_localize_roundtrip(self, directed_grid_3):
         session = TomographySession(directed_grid_3, chi_g(directed_grid_3))
