@@ -36,6 +36,19 @@ witnesses, ``searched_up_to``, exhaustion — at a fraction of the per-union
 cost.  (Gale duality offers the same picture: the paths form a point
 configuration and repeated points add nothing to its oriented-matroid data.)
 
+Finding the classes
+-------------------
+
+:class:`ColumnClasses` spreads every row mask into one 0/1 byte per path and
+joins the rows element-major, so the exact touch pattern of column ``j`` is
+the strided slice ``matrix[j::|P|]`` — one C-level slice per column, with
+the slices themselves as dictionary keys.  Keys in first-appearance order
+number the classes by smallest member.  When every column is its own class
+(the common case on grids and link universes) the engine stops there and
+keeps the original masks; otherwise the class keys are joined class-major
+and each compressed row is again one strided slice, packed into an integer
+once.  No step rebuilds a big int per incidence entry.
+
 The one engine output phrased in path indices — the Boolean measurement
 vector of Equation (1) — is mapped back through :meth:`CompressionPlan.expand_indices`,
 so callers keep seeing original path indices; the plan records the full
@@ -52,6 +65,7 @@ CLI runner (``--no-compress``) and parity tests can scope the raw behaviour.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import warnings
 from dataclasses import dataclass
 from dataclasses import field as dataclasses_field
@@ -60,7 +74,13 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from repro._typing import Node
 from repro.exceptions import IdentifiabilityError
-from repro.utils.bitset import bit_indices, bits_of, mask_from_indices
+from repro.utils.bitset import (
+    bit_indices,
+    bits_of,
+    mask_from_bytes,
+    mask_from_indices,
+    mask_to_bytes,
+)
 
 _compression_enabled = True
 
@@ -340,52 +360,87 @@ class CompressionPlan:
         )
 
 
+class ColumnClasses:
+    """The exact duplicate-column classes of a ``node -> P(v)`` mask table.
+
+    Each mask is spread into a row of 0/1 bytes (:func:`mask_to_bytes`) and
+    the rows are concatenated element-major, so column ``j`` — the touch
+    pattern of path ``j``, one byte per element — is the strided slice
+    ``matrix[j::n_paths]``.  Those slices are the class keys themselves,
+    not hashes of them: one C-level slice per column replaces a per-entry
+    transpose.  :attr:`is_identity` is answered from the distinct keys
+    alone, so an engine over a universe without duplicate or all-zero
+    columns builds no plan, no rows and no touch keys; :meth:`compress`
+    does the rest only when something merges or drops.
+
+    Raises :class:`~repro.exceptions.IdentifiabilityError` when a mask is
+    negative or wider than ``n_paths`` bits.
+    """
+
+    __slots__ = ("nodes", "n_paths", "_columns", "_keys")
+
+    def __init__(
+        self, nodes: Sequence[Node], node_masks: Mapping[Node, int], n_paths: int
+    ) -> None:
+        self.nodes = tuple(nodes)
+        self.n_paths = n_paths
+        rows = []
+        for node in self.nodes:
+            mask = node_masks[node]
+            try:
+                rows.append(mask_to_bytes(mask, n_paths))
+            except ValueError:
+                raise IdentifiabilityError(
+                    f"mask of {node!r} is wider than the declared universe "
+                    f"({mask.bit_length()} > {n_paths} bits)"
+                ) from None
+        matrix = b"".join(rows)
+        self._columns = [matrix[column::n_paths] for column in range(n_paths)]
+        # Distinct touch patterns in first-appearance order; the all-zero
+        # pattern (a path touching no element) constrains nothing.
+        self._keys = dict.fromkeys(self._columns)
+        self._keys.pop(bytes(len(self.nodes)), None)
+
+    @property
+    def is_identity(self) -> bool:
+        """True when every column is its own class (nothing merges or drops)."""
+        return len(self._keys) == self.n_paths
+
+    def compress(self) -> Tuple[CompressionPlan, Dict[Node, int]]:
+        """The :class:`CompressionPlan` and the compressed mask table."""
+        groups: Dict[bytes, List[int]] = {key: [] for key in self._keys}
+        for column, key in enumerate(self._columns):
+            group = groups.get(key)
+            if group is not None:
+                group.append(column)
+        n_elements = len(self.nodes)
+        # Class-major concatenation of the keys: the compressed row of the
+        # element at position p is again one strided slice.
+        class_matrix = b"".join(groups)
+        plan = CompressionPlan(
+            n_original=self.n_paths,
+            members=tuple(tuple(group) for group in groups.values()),
+            touch_keys=tuple(
+                tuple(itertools.compress(range(n_elements), key)) for key in groups
+            ),
+        )
+        rows = {
+            node: mask_from_bytes(class_matrix[position::n_elements])
+            for position, node in enumerate(self.nodes)
+        }
+        return plan, rows
+
+
 def compress_universe(
     nodes: Sequence[Node], node_masks: Mapping[Node, int], n_paths: int
 ) -> Tuple[CompressionPlan, Dict[Node, int]]:
     """Collapse duplicate path columns of a ``node -> P(v)`` mask table.
 
     Returns the :class:`CompressionPlan` and the compressed mask table over
-    ``plan.n_compressed`` columns.  The construction is a single transpose of
-    the incidence — O(total incidence) — grouping columns by their touch-set
-    (as the tuple of node positions, which is canonical because the node
-    order is fixed); compressed node rows are built while the classes are
-    discovered, so no second pass over the masks is needed.
+    ``plan.n_compressed`` columns.  Columns are classed by their exact touch
+    patterns (see :class:`ColumnClasses`): classes are numbered in order of
+    their smallest member, all-zero columns are dropped, and each compressed
+    row is packed once from the class keys — O(elements × paths) byte work
+    in C, no big int rebuilt per incidence entry.
     """
-    touch_sets: List[List[int]] = [[] for _ in range(n_paths)]
-    for position, node in enumerate(nodes):
-        mask = node_masks[node]
-        if mask < 0 or mask.bit_length() > n_paths:
-            raise IdentifiabilityError(
-                f"mask of {node!r} is wider than the declared universe "
-                f"({mask.bit_length()} > {n_paths} bits)"
-            )
-        for path_index in bit_indices(mask):
-            touch_sets[path_index].append(position)
-
-    classes: Dict[Tuple[int, ...], int] = {}
-    members: List[List[int]] = []
-    compressed_rows = [0] * len(nodes)
-    for path_index, touch in enumerate(touch_sets):
-        if not touch:
-            continue  # an all-zero column constrains nothing; drop it
-        key = tuple(touch)
-        compressed_index = classes.get(key)
-        if compressed_index is None:
-            compressed_index = len(members)
-            classes[key] = compressed_index
-            members.append([path_index])
-            bit = 1 << compressed_index
-            for position in touch:
-                compressed_rows[position] |= bit
-        else:
-            members[compressed_index].append(path_index)
-
-    plan = CompressionPlan(
-        n_original=n_paths,
-        members=tuple(tuple(group) for group in members),
-        # Classes are created in ascending first-member order, so iterating
-        # the key dict recovers the per-class touch keys in class order.
-        touch_keys=tuple(classes),
-    )
-    return plan, {node: compressed_rows[i] for i, node in enumerate(nodes)}
+    return ColumnClasses(nodes, node_masks, n_paths).compress()

@@ -144,8 +144,8 @@ from repro.engine.backends import (
     resolve_backend,
 )
 from repro.engine.compress import (
+    ColumnClasses,
     CompressionPlan,
-    compress_universe,
     compression_enabled,
 )
 from repro.exceptions import BudgetExceededError, IdentifiabilityError
@@ -1209,13 +1209,10 @@ class SignatureEngine:
             compress = compression_enabled()
         plan: Optional[CompressionPlan] = None
         if compress:
-            plan, compressed_masks = compress_universe(
-                self.nodes, node_masks, n_paths
-            )
-            if plan.is_identity:
-                plan = None  # nothing merged or dropped: skip the indirection
-            else:
-                node_masks = compressed_masks
+            classes = ColumnClasses(self.nodes, node_masks, n_paths)
+            # Nothing merges or drops: keep the original masks, build no plan.
+            if not classes.is_identity:
+                plan, node_masks = classes.compress()
         self.compression = plan
         width = plan.n_compressed if plan is not None else n_paths
         self.backend: SignatureBackend = resolve_backend(backend, width)

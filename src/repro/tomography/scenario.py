@@ -28,7 +28,6 @@ from repro.failures.universe import FailureUniverse
 from repro.monitors.placement import MonitorPlacement
 from repro.routing.mechanisms import RoutingMechanism
 from repro.routing.paths import PathSet, enumerate_paths
-from repro.tomography.boolean_system import measurement_vector
 from repro.tomography.inference import LocalizationResult, consistent_sets
 from repro.utils.seeds import RngLike, resolve_rng
 
@@ -155,9 +154,7 @@ class TomographySession:
     # -- forward model ------------------------------------------------------
     def measure(self, failure_set: Iterable[Node]) -> MeasurementVector:
         """Boolean measurement vector produced by ``failure_set`` (a set of
-        this session's universe elements)."""
-        if self._node_mode:
-            return measurement_vector(self.pathset, failure_set)
+        this session's universe elements), computed on the session's engine."""
         failed = frozenset(failure_set)
         for element in failed:
             self.universe.mask(element)  # membership check with a clear error

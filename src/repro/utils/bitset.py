@@ -12,15 +12,52 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
+#: ``bytes.translate`` tables between 0/1 bytes and the ASCII digits ``01``.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def mask_to_bytes(mask: int, width: int) -> bytes:
+    """Spread ``mask`` into ``width`` bytes: byte ``i`` is bit ``i`` (0 or 1).
+
+    One binary formatting of the big int plus two C-level byte passes, so
+    the cost is O(width) with small constants however dense the mask is.
+    Raises :class:`ValueError` when ``mask`` is negative or wider than
+    ``width`` bits.
+
+    >>> mask_to_bytes(0b1101, 5)
+    b'\\x01\\x00\\x01\\x01\\x00'
+    """
+    if mask < 0 or mask.bit_length() > width:
+        raise ValueError(f"mask does not fit in {width} non-negative bits")
+    if not width:
+        return b""
+    return format(mask, f"0{width}b")[::-1].encode("ascii").translate(_FROM_DIGITS)
+
+
+def mask_from_bytes(row) -> int:
+    """Pack a row of 0/1 bytes (byte ``i`` is bit ``i``) into a bitmask.
+
+    The inverse of :func:`mask_to_bytes`: the row is reversed, mapped to
+    ASCII digits and parsed once by ``int(..., 2)``, which is linear in the
+    row length.  Accepts ``bytes`` and ``bytearray``.
+
+    >>> bin(mask_from_bytes(b"\\x01\\x00\\x01\\x01"))
+    '0b1101'
+    """
+    if not row:
+        return 0
+    return int(row[::-1].translate(_TO_DIGITS), 2)
+
+
 def mask_from_indices(indices: Iterable[int]) -> int:
     """Build a bitmask with the given bit positions set.
 
-    The mask is assembled in a byte buffer and converted to an integer once
-    at the end.  Repeated ``mask |= 1 << index`` costs O(width/word) per OR
-    because each big-int result is a fresh allocation; the buffer fill is
-    O(1) per index plus one final O(width) conversion, which is what keeps
-    node-mask construction linear in the incidence size even for path
-    universes tens of thousands of bits wide.
+    Indices may come in any order, repeat, or arrive from a generator.  Each
+    one sets a single byte of a 0/1 ``bytearray`` (one byte per bit
+    position); the row is packed into an integer once by
+    :func:`mask_from_bytes`.  No big-int is rebuilt per index, so the cost
+    is O(len(indices) + max(indices)).
 
     >>> bin(mask_from_indices([0, 2, 3]))
     '0b1101'
@@ -31,10 +68,10 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     low = min(items)
     if low < 0:
         raise ValueError(f"bit index must be non-negative, got {low}")
-    buffer = bytearray((max(items) >> 3) + 1)
+    row = bytearray(max(items) + 1)
     for index in items:
-        buffer[index >> 3] |= 1 << (index & 7)
-    return int.from_bytes(buffer, "little")
+        row[index] = 1
+    return mask_from_bytes(row)
 
 
 def union_masks(masks: Iterable[int]) -> int:
@@ -82,8 +119,8 @@ def bit_indices(mask: int) -> list:
     256-entry lookup table, so the cost is O(width/8 + popcount) with small
     constants — :func:`bits_of`'s lowest-set-bit walk costs a full-width
     big-int operation *per set bit*, which dominates when masks are dense
-    (the incidence-transpose in :mod:`repro.engine.compress` is the heavy
-    consumer).
+    (the path-index remaps of the routing delta code are the heavy
+    consumers).
     """
     if mask < 0:
         raise ValueError("mask must be non-negative")

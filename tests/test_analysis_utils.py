@@ -25,7 +25,14 @@ from repro.monitors.tree_placement import balanced_leaf_placement, chi_t
 from repro.topology.grids import directed_grid, undirected_grid
 from repro.topology.trees import complete_kary_tree
 from repro.topology.zoo import claranet
-from repro.utils.bitset import bit_count, bits_of, mask_from_indices, union_masks
+from repro.utils.bitset import (
+    bit_count,
+    bits_of,
+    mask_from_bytes,
+    mask_from_indices,
+    mask_to_bytes,
+    union_masks,
+)
 from repro.utils.seeds import resolve_rng, spawn_rng
 from repro.utils.tables import format_percentage, format_table
 
@@ -114,6 +121,56 @@ class TestBitset:
         mask = mask_from_indices(indices)
         assert set(bits_of(mask)) == indices
         assert bit_count(mask) == len(indices)
+
+    @staticmethod
+    def naive_mask(indices):
+        mask = 0
+        for index in indices:
+            mask |= 1 << index
+        return mask
+
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            [0],
+            [9, 3, 0, 7],                      # unsorted
+            [5, 5, 1, 5, 1],                   # duplicates
+            [7, 8, 15, 16, 23, 24],            # byte boundaries
+            [0, 100_003, 64, 99_999],          # wider than 100k bits
+            list(range(0, 131_072, 3))[::-1],  # wide, dense, descending
+        ],
+    )
+    def test_mask_from_indices_matches_naive_or(self, indices):
+        assert mask_from_indices(indices) == self.naive_mask(indices)
+        assert mask_from_indices(iter(indices)) == self.naive_mask(indices)
+        assert mask_from_indices(i for i in indices) == self.naive_mask(indices)
+
+    @given(indices=st.lists(st.integers(0, 3000), max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_property_mask_from_indices_matches_naive_or(self, indices):
+        assert mask_from_indices(indices) == self.naive_mask(indices)
+
+    def test_negative_index_rejected_from_generator(self):
+        with pytest.raises(ValueError):
+            mask_from_indices(i for i in (4, -2, 9))
+
+    @given(mask=st.integers(0, 1 << 300), extra=st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_byte_row_roundtrip(self, mask, extra):
+        width = mask.bit_length() + extra
+        row = mask_to_bytes(mask, width)
+        assert len(row) == width
+        assert set(row) <= {0, 1}
+        assert [j for j, bit in enumerate(row) if bit] == list(bits_of(mask))
+        assert mask_from_bytes(row) == mask
+        assert mask_from_bytes(bytearray(row)) == mask
+
+    def test_mask_to_bytes_rejects_overwide_and_negative_masks(self):
+        with pytest.raises(ValueError):
+            mask_to_bytes(0b100, 2)
+        with pytest.raises(ValueError):
+            mask_to_bytes(-1, 8)
+        assert mask_to_bytes(0, 0) == b""
 
 
 class TestSeeds:

@@ -523,9 +523,8 @@ class TestSpecRunner:
         assert target.read_text() == "second"
 
     def test_example_spec_file_parses(self):
-        specs = load_spec_batch(
-            open("examples/specs/claranet.json", encoding="utf-8").read()
-        )
+        with open("examples/specs/claranet.json", encoding="utf-8") as handle:
+            specs = load_spec_batch(handle.read())
         assert len(specs) == 2
         assert specs[0].topology.name == "claranet"
         assert specs[1].topology.name == "agrid"

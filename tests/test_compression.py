@@ -11,7 +11,11 @@ checked to round-trip original path indices.
 
 from __future__ import annotations
 
+from typing import Dict, List, Tuple
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.identifiability import (
     maximal_identifiability,
@@ -28,7 +32,8 @@ from repro.engine import (
 )
 from repro.exceptions import IdentifiabilityError
 from repro.routing.paths import PathSet
-from repro.utils.bitset import bits_of, masks_for_nodes
+from repro.engine.compress import ColumnClasses
+from repro.utils.bitset import bit_indices, bits_of, masks_for_nodes
 
 from test_engine import MECHANISMS, PARITY_SEEDS, random_instance
 
@@ -36,9 +41,8 @@ from test_engine import MECHANISMS, PARITY_SEEDS, random_instance
 @pytest.fixture(autouse=True)
 def reset_compression_policy():
     """Keep the global compression policy pristine across tests."""
-    select_compression(True)
-    yield
-    select_compression(True)
+    with compression_policy(True):
+        yield
 
 
 def _compressible_pathset() -> PathSet:
@@ -197,6 +201,130 @@ class TestCompressionPlan:
             covered = sorted(j for group in plan.members for j in group)
             assert covered == sorted(plan.class_of)
             assert len(covered) == len(set(covered)) == kept
+
+
+# ---------------------------------------------------------------------------
+# The byte-matrix transpose against the per-entry reference transpose
+# ---------------------------------------------------------------------------
+
+def reference_compress_universe(nodes, node_masks, n_paths):
+    """The per-entry transpose: one touch list per path, filled bit by bit,
+    keyed by tuples of element positions; rows grown one OR at a time.
+
+    Slow but transparent; :func:`compress_universe` must agree with it on
+    the plan, the touch keys and every compressed row.
+    """
+    touch_sets: List[List[int]] = [[] for _ in range(n_paths)]
+    for position, node in enumerate(nodes):
+        mask = node_masks[node]
+        if mask < 0 or mask.bit_length() > n_paths:
+            raise IdentifiabilityError("mask wider than the declared universe")
+        for path_index in bit_indices(mask):
+            touch_sets[path_index].append(position)
+    classes: Dict[Tuple[int, ...], int] = {}
+    members: List[List[int]] = []
+    compressed_rows = [0] * len(nodes)
+    for path_index, touch in enumerate(touch_sets):
+        if not touch:
+            continue
+        key = tuple(touch)
+        compressed_index = classes.get(key)
+        if compressed_index is None:
+            compressed_index = len(members)
+            classes[key] = compressed_index
+            members.append([path_index])
+            for position in touch:
+                compressed_rows[position] |= 1 << compressed_index
+        else:
+            members[compressed_index].append(path_index)
+    plan = CompressionPlan(
+        n_original=n_paths,
+        members=tuple(tuple(group) for group in members),
+        touch_keys=tuple(classes),
+    )
+    return plan, {node: compressed_rows[i] for i, node in enumerate(nodes)}
+
+
+def assert_matches_reference(nodes, masks, n_paths):
+    expected_plan, expected_rows = reference_compress_universe(nodes, masks, n_paths)
+    plan, rows = compress_universe(nodes, masks, n_paths)
+    assert plan.n_original == expected_plan.n_original
+    assert plan.members == expected_plan.members
+    assert plan.touch_keys == expected_plan.touch_keys
+    assert rows == expected_rows
+    assert ColumnClasses(nodes, masks, n_paths).is_identity == (
+        expected_plan.is_identity
+    )
+
+
+@st.composite
+def incidence_matrices(draw):
+    """``(nodes, masks, n_paths)`` with duplicate and all-zero columns,
+    elements whose mask is 0, zero elements and ragged widths."""
+    n_elements = draw(st.integers(0, 6))
+    n_paths = draw(st.one_of(st.sampled_from((1, 7, 8, 9, 15, 17, 64)),
+                             st.integers(0, 80)))
+    patterns = st.integers(0, (1 << n_elements) - 1)
+    # A small pool of repeated patterns forces duplicate (and zero) columns.
+    pool = draw(st.lists(patterns, min_size=1, max_size=3))
+    columns = draw(
+        st.lists(st.one_of(st.sampled_from(pool), patterns),
+                 min_size=n_paths, max_size=n_paths)
+    )
+    silenced = draw(st.sets(st.integers(0, max(n_elements - 1, 0))))
+    nodes = tuple(f"v{position}" for position in range(n_elements))
+    masks = {
+        node: 0 if position in silenced else sum(
+            1 << j for j, column in enumerate(columns) if column >> position & 1
+        )
+        for position, node in enumerate(nodes)
+    }
+    return nodes, masks, n_paths
+
+
+class TestByteMatrixTranspose:
+    @given(incidence_matrices())
+    @settings(max_examples=300, deadline=None)
+    @example((("v0",), {"v0": 1}, 1))
+    @example((("v0",), {"v0": 0}, 1))
+    @example(((), {}, 5))
+    @example(((), {}, 0))
+    @example((("v0", "v1"), {"v0": 0b101, "v1": 0b101}, 9))
+    def test_matches_reference_transpose(self, case):
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    @pytest.mark.parametrize("seed", range(0, 20, 3))
+    def test_matches_reference_on_random_instance_universes(self, seed, mechanism):
+        _, _, pathset = random_instance(seed, mechanism)
+        links = pathset.links
+        universes = [pathset.universe("node"), pathset.universe("link")]
+        if len(links) >= 2:
+            universes.append(pathset.universe(
+                "srlg", groups={"a": links[::2], "b": links[1::2], "c": links[:1]}
+            ))
+        for universe in universes:
+            assert_matches_reference(
+                universe.elements, universe.masks, universe.n_paths
+            )
+
+    def test_wide_universes_match_reference(self):
+        """1023 distinct non-zero columns (the identity), then the same
+        universe with an all-zero and a duplicate column appended."""
+        nodes = tuple(range(10))
+
+        def masks_of(columns):
+            return {
+                node: sum(1 << j for j, c in enumerate(columns) if c >> node & 1)
+                for node in nodes
+            }
+
+        patterns = list(range(1, 1024))
+        assert ColumnClasses(nodes, masks_of(patterns), 1023).is_identity
+        assert_matches_reference(nodes, masks_of(patterns), 1023)
+        merged = patterns + [0, 5]
+        assert not ColumnClasses(nodes, masks_of(merged), 1025).is_identity
+        assert_matches_reference(nodes, masks_of(merged), 1025)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,28 @@ class TestTomographySession:
         assert outcome.uniquely_identified
         assert outcome.failure_set == frozenset(failure)
 
+    def test_measure_runs_on_the_session_engine(self, directed_grid_3):
+        """A raw-columns session measures on its own engine: no default
+        (compressed) engine joins the path set's memo just to measure."""
+        from repro.api.scenario import Scenario
+        from repro.api.spec import EngineConfig
+
+        placement = chi_g(directed_grid_3)
+        scenario = Scenario.from_components(
+            directed_grid_3, placement, engine=EngineConfig(compress=False)
+        )
+        session = TomographySession.from_scenario(scenario)
+        engines_before = dict(session.pathset._engines)
+        failure = {(2, 2), (1, 3)}
+        observed = session.measure(failure)
+        assert session.pathset._engines == engines_before
+        reference = measurement_vector(
+            enumerate_paths(directed_grid_3, placement), failure
+        )
+        assert observed == reference
+        with pytest.raises(IdentifiabilityError):
+            session.measure({"ghost"})
+
     def test_sample_failure_set_avoids_monitors_when_possible(self, directed_grid_3):
         session = TomographySession(directed_grid_3, chi_g(directed_grid_3))
         sample = session.sample_failure_set(1, rng=5)
