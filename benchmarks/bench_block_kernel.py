@@ -16,13 +16,21 @@ same µ, same witness, same ``searched_up_to`` and the same
 
 * confusable witnesses are excised until the *residual* universe certifies
   up to size 3 with no surviving collision, so the sweep walks the whole
-  ``C(n, 3)`` frontier — the batched-union / batched-dominance /
-  batched-digest workload the block kernel exists for.
+  ``C(n, 3)`` frontier — the workload the block kernel exists for.
+
+The kernel addresses that frontier by lexicographic rank: each chunk of
+``BLOCK_SIZE`` consecutive ranks is one ``block_frontier`` call (index rows
+from the combinatorial number system, gathered-row unions, per-row
+dominance and digests), and a *clean* chunk — no dominated row, digests
+distinct and new to the table — is inserted with one ``dict.update`` and
+charged to any budget in one clamped spend.  Only an unclean chunk is
+replayed row by row, so on these cells (one clean chunk after another) no
+Python runs per candidate subset.
 
 The speedup floor (``BENCH_BLOCK_MIN_SPEEDUP``, default 2.0) is asserted
-only when the numpy backend is available — the pure-python ``block_scan``
-fallback exists for correctness and API uniformity, not speed; parity is
-asserted everywhere.  Unlike the PR-6 sharding cell this needs no extra
+only when the numpy backend is available — the pure-python
+``block_frontier`` fallback exists for correctness and API uniformity, not
+speed; parity is asserted everywhere.  Unlike the PR-6 sharding cell this needs no extra
 cores: the win is vectorization inside one thread.
 """
 

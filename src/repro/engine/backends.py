@@ -31,9 +31,13 @@ never hard-requires numpy.
 from __future__ import annotations
 
 import abc
+import bisect
 import contextlib
+import functools
+import itertools
+import math
 import warnings
-from typing import Iterator, Optional, Tuple, Union
+from typing import Any, Iterator, List, Optional, Tuple, Union
 
 from repro.exceptions import IdentifiabilityError
 from repro.utils.bitset import bits_of
@@ -139,6 +143,108 @@ def backend_policy(name: Optional[str] = None) -> Iterator[str]:
         _install_policy(previous)
 
 
+# -- the lexicographic combination frontier -----------------------------------
+#
+# The block kernel addresses the size-``s`` subsets of ``range(n)`` by their
+# lexicographic rank, so a chunk is a rank interval and a shard's first-index
+# block is one too.  Ranks convert to index rows through the combinatorial
+# number system: with ``x_d = n - 1 - c_d``, the rank-``r`` combination
+# ``c_0 < ... < c_{s-1}`` is the unique one whose ``x_d`` greedily decompose
+# ``C(n, s) - 1 - r`` as ``sum C(x_d, s - d)``.
+
+
+def unrank_combination(n: int, size: int, rank: int) -> Tuple[int, ...]:
+    """The rank-``rank`` size-``size`` combination of ``range(n)`` in
+    lexicographic (``itertools.combinations``) order."""
+    remaining = math.comb(n, size) - 1 - rank
+    indices = []
+    bound = n
+    for k in range(size, 0, -1):
+        # The largest x below the previous one with C(x, k) <= remaining.
+        x = bisect.bisect_right(
+            range(bound), remaining, key=lambda y, k=k: math.comb(y, k)
+        ) - 1
+        remaining -= math.comb(x, k)
+        indices.append(n - 1 - x)
+        bound = x
+    return tuple(indices)
+
+
+@functools.lru_cache(maxsize=8)
+def _combination_arrays(n: int, size: int) -> Tuple[Any, ...]:
+    """Read-only ``arrays[k][x] = min(C(x, k), C(n, size))`` for
+    ``k <= size`` and ``x < n``: ``int64`` while ``C(n, size)`` fits, Python
+    ints (``object``) beyond that.  Clipping at ``C(n, size)`` keeps the
+    greedy decomposition exact (no remainder reaches the cap) and every
+    entry in range."""
+    cap = math.comb(n, size)
+    dtype = _np.int64 if cap < 2**63 else object
+    row = [1] * n
+    arrays = []
+    for k in range(size + 1):
+        if k:
+            # Hockey stick: C(x, k) = sum of C(y, k - 1) over y < x.
+            row = [
+                min(value, cap)
+                for value in itertools.accumulate(row[:-1], initial=0)
+            ]
+        array = _np.array(row, dtype=dtype)
+        array.setflags(write=False)
+        arrays.append(array)
+    return tuple(arrays)
+
+
+def _combination_rows(n: int, size: int, start: int, stop: int):
+    """Ranks ``[start, stop)`` of the lexicographic size-``size`` frontier as
+    a ``(stop - start, size)`` index array: one ``searchsorted`` per column."""
+    table = _combination_arrays(n, size)
+    remaining = (math.comb(n, size) - 1 - start) - _np.arange(
+        stop - start, dtype=table[1].dtype
+    )
+    rows = _np.empty((stop - start, size), dtype=_np.intp)
+    for column in range(size):
+        row = table[size - column]
+        x = _np.searchsorted(row, remaining, side="right") - 1
+        rows[:, column] = (n - 1) - x
+        remaining -= row[x]
+    return rows
+
+
+class FrontierBlock:
+    """One evaluated chunk of the combination frontier.
+
+    ``start`` is the lexicographic rank of the chunk's first row, ``unions``
+    and ``digests`` hold one entry per row, and ``first_dominated`` is the
+    first row whose last element's signature lies inside the union of the
+    others (``-1`` when no row's does).  :meth:`subsets` materialises the
+    index tuples on demand — a consumer that only needs digests never pays
+    for them.
+    """
+
+    __slots__ = ("start", "rows", "unions", "digests", "first_dominated")
+
+    def __init__(
+        self,
+        start: int,
+        rows: Any,
+        unions: Any,
+        digests: List[int],
+        first_dominated: int,
+    ) -> None:
+        self.start = start
+        self.rows = rows
+        self.unions = unions
+        self.digests = digests
+        self.first_dominated = first_dominated
+
+    def subsets(self) -> List[Tuple[int, ...]]:
+        """The chunk's index tuples, in rank order."""
+        rows = self.rows
+        if isinstance(rows, list):
+            return rows
+        return list(map(tuple, rows.tolist()))
+
+
 class SignatureBackend(abc.ABC):
     """Operations on packed path-set signatures.
 
@@ -192,13 +298,15 @@ class SignatureBackend(abc.ABC):
 
     # -- batched block ops ---------------------------------------------------
     #
-    # The block kernel (PR 10) evaluates the combination frontier in chunks:
-    # ``stack`` packs signatures into a single block operand once, then each
-    # chunk is one ``block_scan`` (row-wise union + dominance against a shared
-    # prefix) followed by one ``block_digests`` (row digests, exact-verified by
-    # the engine on collision).  The defaults below are a pure-python
+    # The block kernel evaluates the lexicographic combination frontier in
+    # chunks of consecutive ranks: ``stack`` packs the element signatures
+    # into a single block operand once, then each chunk is one
+    # ``block_frontier`` call — the chunk's index rows, their unions, the
+    # first row dominated by its prefix and the row digests (exact-verified
+    # by the engine on a match).  The defaults below are a pure-python
     # fallback built on the scalar ops, so ``kernel="block"`` is legal on any
-    # backend; vectorized backends override them.
+    # backend; vectorized backends override ``block_frontier`` and
+    # ``block_digests``.
 
     #: Whether the batched ops are truly vectorized (``kernel="auto"`` only
     #: engages the block kernel when they are).
@@ -213,16 +321,16 @@ class SignatureBackend(abc.ABC):
         return list(signatures)
 
     def block_scan(self, matrix, prefixes, spans):
-        """Evaluate one chunk of candidate rows spanning many prefix runs.
+        """Evaluate candidate rows against per-run prefix unions.
 
         ``matrix`` is :meth:`stack` of the element signatures, ``prefixes``
-        is :meth:`stack` of one prefix union per run touched by the chunk,
-        and ``spans`` is a list of ``(prefix_row, lo, hi)`` triples: rows
-        ``matrix[lo:hi]`` are each evaluated against ``prefixes[prefix_row]``,
-        spans concatenated in order.  Returns ``(unions, dominated)`` over
-        the concatenated rows, where ``unions[j]`` is a signature
-        interchangeable with the scalar ops and ``dominated[j]`` is true iff
-        the row is a subset of its prefix.
+        is :meth:`stack` of one prefix union per run, and ``spans`` is a
+        list of ``(prefix_row, lo, hi)`` triples: rows ``matrix[lo:hi]`` are
+        each evaluated against ``prefixes[prefix_row]``, spans concatenated
+        in order.  Returns ``(unions, dominated)`` over the concatenated
+        rows, where ``unions[j]`` is a signature interchangeable with the
+        scalar ops and ``dominated[j]`` is true iff the row is a subset of
+        its prefix.
         """
         union, is_subset = self.union, self.is_subset
         unions = []
@@ -233,6 +341,34 @@ class SignatureBackend(abc.ABC):
                 unions.append(union(prefix, row))
                 dominated.append(is_subset(row, prefix))
         return unions, dominated
+
+    def block_frontier(
+        self, matrix, size: int, start: int, stop: int
+    ) -> FrontierBlock:
+        """Evaluate ranks ``[start, stop)`` of the lexicographic size-``size``
+        combination frontier over the rows of ``matrix``.
+
+        This fallback unranks the chunk's combinations in Python, groups
+        them into runs sharing their first ``size - 1`` indices (one prefix
+        union per run) and evaluates the runs with one :meth:`block_scan`.
+        """
+        n = len(matrix)
+        rows = [unrank_combination(n, size, rank) for rank in range(start, stop)]
+        union, empty = self.union, self.empty
+        prefixes = []
+        spans = []
+        for head, run in itertools.groupby(rows, key=lambda row: row[:-1]):
+            lasts = [row[-1] for row in run]
+            prefix = empty()
+            for index in head:
+                prefix = union(prefix, matrix[index])
+            prefixes.append(prefix)
+            spans.append((len(prefixes) - 1, lasts[0], lasts[-1] + 1))
+        unions, dominated = self.block_scan(matrix, self.stack(prefixes), spans)
+        first_dominated = dominated.index(True) if True in dominated else -1
+        return FrontierBlock(
+            start, rows, unions, self.block_digests(unions), first_dominated
+        )
 
     def block_digests(self, unions):
         """64-bit digests of a block of union rows, as a list of ints.
@@ -354,26 +490,32 @@ class NumpyBackend(SignatureBackend):
         stacked.setflags(write=False)
         return stacked
 
-    def block_scan(self, matrix, prefixes, spans):
-        # Each span is a *contiguous* matrix slice, so the chunk's unions are
-        # written span-by-span into one preallocated buffer with a broadcast
-        # OR over a view — no gathered row copy, no prefix broadcast copy.
-        # Dominance reuses the freshly written unions: ``row ⊆ prefix`` iff
-        # ``row | prefix == prefix``, one compare+reduce instead of the
-        # three-op ``row & ~prefix`` form.
-        total = sum(hi - lo for _, lo, hi in spans)
-        unions = _np.empty((total, self.n_words), dtype="<u8")
-        dominated = _np.empty(total, dtype=bool)
-        base = 0
-        for prefix_row, lo, hi in spans:
-            count = hi - lo
-            prefix = prefixes[prefix_row]
-            out = unions[base:base + count]
-            _np.bitwise_or(matrix[lo:hi], prefix, out=out)
-            _np.all(out == prefix, axis=1, out=dominated[base:base + count])
-            base += count
+    def block_frontier(
+        self, matrix, size: int, start: int, stop: int
+    ) -> FrontierBlock:
+        # The chunk's index rows come from the combinatorial number system
+        # (one searchsorted per column, no per-row Python); each row's
+        # prefix union is an OR of gathered matrix rows, its union one more
+        # gather, and dominance ``last ⊆ prefix`` is ``union == prefix``.
+        n = matrix.shape[0]
+        rows = _combination_rows(n, size, start, stop)
+        if size == 1:
+            prefix = _np.zeros((stop - start, self.n_words), dtype="<u8")
+        else:
+            prefix = matrix.take(rows[:, 0], axis=0)
+        for column in range(1, size - 1):
+            prefix |= matrix.take(rows[:, column], axis=0)
+        unions = matrix.take(rows[:, size - 1], axis=0)
+        unions |= prefix
+        dominated = (unions == prefix).all(axis=1)
+        # Free the prefixes before the digest fold allocates its product,
+        # so a chunk never holds more than two (rows, n_words) buffers.
+        del prefix
+        first_dominated = int(dominated.argmax()) if dominated.any() else -1
         unions.setflags(write=False)
-        return unions, dominated.tolist()
+        return FrontierBlock(
+            start, rows, unions, self.block_digests(unions), first_dominated
+        )
 
     def block_digests(self, unions):
         # Weighted fold first — one multiply and one XOR reduction over the

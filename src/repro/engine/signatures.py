@@ -43,7 +43,8 @@ are identical — but obtains each subset's signature differently:
    carries the union of the chosen prefix, so extending a subset by one node
    costs one backend union instead of ``|U|`` dict lookups and ORs.  The
    enumeration lives in one shared generator, :func:`_combination_frontier`,
-   used by the serial sweep, the census queries and the sharded workers.
+   used by the scalar sweep, census queries and shard workers; the block
+   kernel (below) addresses the same order by rank.
 3. **Subset-dominance pruning.**  When the last node ``u`` of a candidate
    ``U`` satisfies ``P(u) ⊆ P(U∖{u})``, then ``P(U) = P(U∖{u})`` and the
    collision is certified immediately — no hashing, no partner lookup.
@@ -92,28 +93,42 @@ The block kernel
 
 The scalar sweep pays one ``union``/``key``/``is_subset``/dict-probe Python
 round-trip per subset, which squanders the numpy backend's vectorization on
-call overhead.  The third execution strategy (``kernel="block"``) regroups
-the frontier by shared prefix: the size-``s`` subsets sharing their first
-``s - 1`` indices form a contiguous *run* whose last elements are the rows
-``prefix[-1]+1 .. n-1`` of the stacked signature matrix.  Each run is
-evaluated in chunks of ``block_size`` rows with three batched backend ops —
-row-wise union via prefix broadcast (one ``(B, n_words)`` uint64 OR),
-row-wise dominance (``last & ~prefix`` reduced per row), and vectorized
-64-bit row digests — and only then does a Python loop walk the digest list
-doing pure dict work, exact-verifying digest matches by recomputing the
-candidate's union key exactly like the PR-6 shard tables.  Enumeration
-order, witness choice, ``subsets_enumerated`` accounting and budget
-spend/poll cadence are preserved row for row, so the kernel is bit-identical
-to the scalar path serial and sharded (each shard runs the kernel over its
-own first-index block).  ``kernel="auto"`` engages the block kernel when the
-backend advertises :attr:`~repro.engine.backends.SignatureBackend.
-vectorized_blocks` and the frontier is at least :data:`MIN_BLOCK_FRONTIER`
-subsets; a pure-python fallback keeps ``kernel="block"`` legal (and still
-bit-identical) on any backend.
+call overhead.  The third execution strategy (``kernel="block"``) addresses
+the size-``s`` frontier by lexicographic rank instead: a chunk is
+``block_size`` consecutive ranks, and a shard's first-index block is one rank
+interval too (:func:`_frontier_blocks`).  One backend call per chunk
+(:meth:`~repro.engine.backends.SignatureBackend.block_frontier`) turns the
+ranks into index rows through the combinatorial number system (one
+``searchsorted`` per column), ORs the gathered rows into each row's prefix
+union and full union, flags the first row whose last element is dominated
+by its prefix, and folds the unions into 64-bit digests.  No Python runs per
+row or per prefix run.
+
+A chunk is **clean** (:func:`_clean`) when no row is dominated and its
+digests are distinct and absent from the table.  Equal signatures digest
+equally, so no row of a clean chunk can collide: the chunk is inserted with
+one ``dict.update`` (digest → integer entry id, the subset's position in the
+serial enumeration) and charged to the budget in one spend, clamped to the
+subset allowance left (:func:`_charge`) so a subset budget still expires on
+the very row a per-row spend would.  Any other chunk materialises its index
+tuples and is replayed row by row exactly like the scalar sweep: dominance
+first, then every digest match exact-verified by recomputing the candidate's
+union key, walking the bucket in serial order (an entry id turns back into
+its subset by unranking).  Enumeration order, witness choice,
+``subsets_enumerated``/``table_entries`` accounting and subset-budget
+truncation points are therefore bit-identical to the scalar path, serial
+and sharded (each shard runs the kernel over its own first-index block and
+polls the shared budget at the scalar shard's stride).
+``kernel="auto"`` engages the block kernel when the backend advertises
+:attr:`~repro.engine.backends.SignatureBackend.vectorized_blocks` and the
+frontier is at least :data:`MIN_BLOCK_FRONTIER` subsets; a pure-python
+fallback keeps ``kernel="block"`` legal (and still bit-identical) on any
+backend.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import itertools
 import math
@@ -140,8 +155,10 @@ from typing import (
 from repro._typing import Node
 from repro.engine.backends import (
     BackendSpec,
+    FrontierBlock,
     SignatureBackend,
     resolve_backend,
+    unrank_combination,
 )
 from repro.engine.compress import (
     ColumnClasses,
@@ -599,96 +616,92 @@ def _lex_rank(indices: Sequence[int], n: int, size: int) -> int:
     return rank
 
 
-def _prefix_runs(
-    signatures: Sequence[Any],
-    backend: SignatureBackend,
-    size: int,
-    first_lo: int = 0,
-    first_hi: Optional[int] = None,
-) -> Iterator[Tuple[Tuple[int, ...], Any, int, int]]:
-    """The block kernel's view of the frontier: maximal runs of size-``size``
-    subsets sharing their first ``size - 1`` indices.
-
-    Yields ``(prefix_indices, prefix_union, last_lo, last_hi)`` — the run's
-    subsets are ``prefix_indices + (j,)`` for ``j`` in ``[last_lo, last_hi)``,
-    i.e. contiguous *rows* of the stacked signature matrix, which is what
-    lets one broadcast union/dominance/digest op evaluate the whole run.
-    Runs appear in lexicographic prefix order, so concatenating them (and the
-    rows within each) reproduces :func:`_combination_frontier`'s enumeration
-    exactly, including the ``[first_lo, first_hi)`` first-index sharding.
-    One backend union per *run* replaces one per subset.
-    """
-    n = len(signatures)
-    if size == 1:
-        hi = n if first_hi is None else min(first_hi, n)
-        if first_lo < hi:
-            yield (), backend.empty(), first_lo, hi
-        return
-    union = backend.union
-    for indices, rest, last_signature in _combination_frontier(
-        signatures, backend, size - 1, first_lo, first_hi
-    ):
-        last_lo = indices[size - 2] + 1
-        if last_lo >= n:
-            continue  # prefix ends at n-1: no room for a last element
-        yield tuple(indices), union(rest, last_signature), last_lo, n
-
-
-def _block_chunks(
-    signatures: Sequence[Any],
+def _frontier_blocks(
     backend: SignatureBackend,
     matrix: Any,
     size: int,
     block_size: int,
     first_lo: int = 0,
     first_hi: Optional[int] = None,
-) -> Iterator[Tuple[List[Tuple[int, ...]], Any, List[bool], List[int]]]:
-    """Materialise the size-``size`` frontier in chunks of up to
-    ``block_size`` candidate subsets, one batched backend evaluation each.
+) -> Iterator[FrontierBlock]:
+    """The block kernel's view of the frontier: the size-``size`` subsets
+    whose smallest index lies in ``[first_lo, first_hi)``, evaluated in
+    chunks of ``block_size`` consecutive lexicographic ranks.
 
-    Chunks *span* prefix runs: boosted cells split the frontier into many
-    short runs (a handful of rows each), so batching within a single run
-    leaves the backend ops nothing to amortise.  Each chunk gathers rows
-    across consecutive runs — splitting a run when it straddles the chunk
-    boundary — stacks one prefix union per run piece, and makes a single
-    ``block_scan`` + ``block_digests`` call.  Yields ``(subsets, unions,
-    dominated, digests)`` with rows in exact serial lexicographic order, so
-    consumers replaying the per-row branch logic stay bit-identical to the
-    scalar sweep.
+    Those subsets form one contiguous rank interval (the ones led by index
+    ``i`` or later are the ``C(n - i, size)`` last ranks), so chunking it
+    reproduces :func:`_combination_frontier`'s enumeration exactly,
+    including the first-index sharding.  Each chunk is a single
+    :meth:`~repro.engine.backends.SignatureBackend.block_frontier` call.
     """
-    prefixes: List[Any] = []
-    spans: List[Tuple[int, int, int]] = []
-    metas: List[Tuple[Tuple[int, ...], int, int]] = []
-    filled = 0
+    n = len(matrix)
+    if first_hi is None or first_hi > n - size + 1:
+        first_hi = n - size + 1
+    if size < 1 or first_lo >= first_hi:
+        return
+    total = math.comb(n, size)
+    start = total - math.comb(n - first_lo, size)
+    stop = total - math.comb(n - first_hi, size)
+    for lo in range(start, stop, block_size):
+        yield backend.block_frontier(matrix, size, lo, min(lo + block_size, stop))
 
-    def _evaluate() -> Tuple[List[Tuple[int, ...]], Any, List[bool], List[int]]:
-        unions, dominated = backend.block_scan(
-            matrix, backend.stack(prefixes), spans
-        )
-        digests = backend.block_digests(unions)
-        subsets = [
-            prefix_indices + (last,)
-            for prefix_indices, lo, hi in metas
-            for last in range(lo, hi)
-        ]
-        return subsets, unions, dominated, digests
 
-    for prefix_indices, prefix, last_lo, last_hi in _prefix_runs(
-        signatures, backend, size, first_lo, first_hi
-    ):
-        lo = last_lo
-        while lo < last_hi:
-            hi = min(lo + (block_size - filled), last_hi)
-            prefixes.append(prefix)
-            spans.append((len(prefixes) - 1, lo, hi))
-            metas.append((prefix_indices, lo, hi))
-            filled += hi - lo
-            lo = hi
-            if filled >= block_size:
-                yield _evaluate()
-                prefixes, spans, metas, filled = [], [], [], 0
-    if spans:
-        yield _evaluate()
+def _clean(block: FrontierBlock, *tables: Mapping[int, Any]) -> bool:
+    """Whether no row of ``block`` can collide: none is dominated and its
+    digests are distinct and new to every table.  (Equal signatures digest
+    equally, so a clean chunk's rows are pairwise distinct and absent from
+    the tables without one exact key.)"""
+    digests = block.digests
+    return (
+        block.first_dominated < 0
+        and len(set(digests)) == len(digests)
+        and all(table.keys().isdisjoint(digests) for table in tables)
+    )
+
+
+def _table_add(table: Dict[int, Any], digest: int, entry: Any) -> None:
+    """Insert into a digest table whose values are a single entry, or a list
+    of entries (in serial order) once distinct signatures share a digest."""
+    bucket = table.get(digest)
+    if bucket is None:
+        table[digest] = entry
+    elif isinstance(bucket, list):
+        bucket.append(entry)
+    else:
+        table[digest] = [bucket, entry]
+
+
+def _bucket(value: Any) -> List[Any]:
+    """The entries of one :func:`_table_add` table value, in serial order."""
+    return value if isinstance(value, list) else [value]
+
+
+def _charge(budget: Budget, rows: int) -> Tuple[int, bool]:
+    """Charge ``rows`` subsets at once, clamped to the subset allowance left
+    (but at least one), so a subset budget expires on the very row a
+    per-row ``spend()`` loop would stop at.  Returns ``(charged, expired)``."""
+    if budget.subset_budget is not None:
+        rows = min(rows, max(1, budget.subset_budget - budget.consumed))
+    return rows, budget.spend(rows)
+
+
+def _poll_rows(
+    shared_budget: SharedBudgetState, pending: int, rows: int
+) -> Tuple[int, int, bool]:
+    """Account ``rows`` shard rows against the shared budget, polling at the
+    same rows a per-row :data:`SHARD_POLL_STRIDE` cadence would.  Returns
+    ``(taken, pending, stopped)``: ``taken`` rows ran before a poll reported
+    expiry (all of them when none did)."""
+    taken = 0
+    while taken < rows:
+        step = min(rows - taken, SHARD_POLL_STRIDE - pending)
+        taken += step
+        pending += step
+        if pending >= SHARD_POLL_STRIDE:
+            pending = 0
+            if shared_budget.poll(SHARD_POLL_STRIDE):
+                return taken, 0, True
+    return taken, pending, False
 
 
 # -- shard-worker plumbing ----------------------------------------------------
@@ -948,12 +961,13 @@ def _scan_shard_block(
     (dominance, then table seeds/history, then local entries) and the same
     budget-poll cadence — ``scanned``/``entries``/``hit``/``budget_stopped``
     are bit-identical to the scalar shard's; only the per-row signature work
-    is batched.  Digest matches are exact-verified by recomputing the
-    candidate's union key, so the vectorized digest family needs no relation
-    to the scalar one.
+    is batched.  A clean chunk (:func:`_clean`) is taken in bulk; any other
+    chunk is replayed row by row, exact-verifying digest matches by
+    recomputing the candidate's union key, so the vectorized digest family
+    needs no relation to the scalar one.
     """
     key = backend.key
-    local: Dict[int, List[Tuple[int, ...]]] = {}
+    local: Dict[int, Any] = {}
     entries: List[Tuple[int, Tuple[int, ...]]] = []
     scanned = 0
     pending = 0
@@ -961,14 +975,30 @@ def _scan_shard_block(
     pruned = 0
     stopped = False
     hit: Optional[Tuple[str, Tuple[int, ...], Optional[Tuple[int, ...]]]] = None
-    for subsets, unions, dominated, digests in _block_chunks(
-        signatures, backend, matrix, size, block_size, first_lo, first_hi
+    for block in _frontier_blocks(
+        backend, matrix, size, block_size, first_lo, first_hi
     ):
         blocks += 1
+        digests = block.digests
+        subsets = block.subsets()
+        if _clean(block, table, local):
+            taken = len(digests)
+            if shared_budget is not None:
+                taken, pending, stopped = _poll_rows(
+                    shared_budget, pending, taken
+                )
+            pairs = list(zip(digests[:taken], subsets[:taken]))
+            entries.extend(pairs)
+            local.update(pairs)
+            scanned += taken
+            pruned += taken
+            if stopped:
+                break
+            continue
         for j, digest in enumerate(digests):
             scanned += 1
             subset = subsets[j]
-            if dominated[j]:
+            if j == block.first_dominated:
                 hit = ("dominance", subset, None)
                 break
             bucket = table.get(digest)
@@ -977,10 +1007,11 @@ def _scan_shard_block(
                 # Clean digest miss: dedup'd without one exact key.
                 pruned += 1
             else:
-                exact = key(unions[j])
+                exact = key(block.unions[j])
                 partner: Optional[Tuple[int, ...]] = None
                 for candidate in itertools.chain(
-                    bucket or (), local_bucket or ()
+                    bucket or (),
+                    () if local_bucket is None else _bucket(local_bucket),
                 ):
                     if _subset_key(signatures, backend, candidate) == exact:
                         partner = candidate
@@ -989,15 +1020,11 @@ def _scan_shard_block(
                     hit = ("table", subset, partner)
                     break
             entries.append((digest, subset))
-            local.setdefault(digest, []).append(subset)
+            _table_add(local, digest, subset)
             if shared_budget is not None:
-                pending += 1
-                if pending >= SHARD_POLL_STRIDE:
-                    if shared_budget.poll(pending):
-                        stopped = True
-                        pending = 0
-                        break
-                    pending = 0
+                _, pending, stopped = _poll_rows(shared_budget, pending, 1)
+                if stopped:
+                    break
         if hit is not None or stopped:
             break
     if (
@@ -1034,20 +1061,18 @@ def _census_shard(task: Tuple[int, int, int, int]) -> List[Tuple[int, Tuple[int,
     out: List[Tuple[int, Tuple[int, ...]]] = []
     pending = 0
     if kernel == "block":
-        for subsets, _unions, _dominated, digests in _block_chunks(
-            signatures, backend, matrix, size, block_size, first_lo, first_hi
+        for block in _frontier_blocks(
+            backend, matrix, size, block_size, first_lo, first_hi
         ):
-            for j, digest in enumerate(digests):
-                out.append((digest, subsets[j]))
-                if shared_budget is not None:
-                    pending += 1
-                    if pending >= SHARD_POLL_STRIDE:
-                        if shared_budget.poll(pending):
-                            raise BudgetExceededError(
-                                f"size-{size} subset census exceeded "
-                                "its search budget"
-                            )
-                        pending = 0
+            out.extend(zip(block.digests, block.subsets()))
+            if shared_budget is not None:
+                _, pending, stopped = _poll_rows(
+                    shared_budget, pending, len(block.digests)
+                )
+                if stopped:
+                    raise BudgetExceededError(
+                        f"size-{size} subset census exceeded its search budget"
+                    )
         if shared_budget is not None and pending:
             shared_budget.poll(pending)
         return out
@@ -1589,14 +1614,9 @@ class SignatureEngine:
                     for digest, indices in chunk:
                         yield tuple(universe[i] for i in indices), digest
             elif used_kernel == "block":
-                for subsets, _unions, _dominated, digests in _block_chunks(
-                    signatures, backend, matrix, size, block_rows
-                ):
-                    for j, digest in enumerate(digests):
-                        yield (
-                            tuple(universe[i] for i in subsets[j]),
-                            digest,
-                        )
+                for block in _frontier_blocks(backend, matrix, size, block_rows):
+                    for indices, digest in zip(block.subsets(), block.digests):
+                        yield tuple(universe[i] for i in indices), digest
             else:
                 for indices, rest, last_signature in _combination_frontier(
                     signatures, backend, size
@@ -1824,138 +1844,136 @@ class SignatureEngine:
         """The serial block-kernel sweep: bit-identical to
         :meth:`_identifiability_serial`, row for row.
 
-        The frontier is materialised in ``block_size``-row chunks spanning
-        prefix runs (:func:`_block_chunks`), each evaluated with three
-        batched backend ops (union broadcast, dominance reduction, digest
-        fold); the per-row Python loop then does dict work only.  The digest
-        table spans all sizes like the scalar ``seen`` table but keys on the
-        vectorized digests, exact-verifying matches by recomputing the
-        candidate's union key (bucket order is serial order, so the first
-        exact match is the scalar sweep's partner).  Budget spend cadence —
-        one :meth:`~repro.resilience.budget.Budget.spend` per *inserted*
-        row — matches the scalar sweep exactly, so subset-budget truncation
-        points are unchanged.
+        The frontier is evaluated in ``block_size``-rank chunks
+        (:func:`_frontier_blocks`).  The digest table spans all sizes like
+        the scalar ``seen`` table but keys on the vectorized digests and
+        maps each to an integer entry id — the subset's position in the
+        serial enumeration, turned back into indices by unranking only when
+        a digest match must be exact-verified.  A clean chunk
+        (:func:`_clean`) is inserted with one ``dict.update`` and charged to
+        the budget in one clamped :func:`_charge`; any other chunk is
+        replayed row by row — dominance first, then every digest match
+        exact-verified against the bucket in serial order, so the first
+        exact match is the scalar sweep's partner.  Subset-budget
+        truncation points and ``table_entries`` are therefore unchanged.
         """
         backend = self.backend
         key = backend.key
         signatures = [self._signatures[node] for node in universe]
         matrix = backend.stack(signatures)
         n = len(universe)
-        # digest -> [indices, ...] in first-appearance (serial) order, seeded
-        # with the ∅/singleton subsets the fast path certified distinct —
-        # digested by the same vectorized fold the block rows use.
-        table: Dict[int, List[Tuple[int, ...]]] = {}
+        # Entry ids number the table's subsets in serial order: size s's
+        # rank-r subset is bases[s] + r (0 is ∅, 1 + i the singleton (i,)).
+        bases = [0, 1]
+
+        def entry_subset(entry: int) -> Tuple[int, ...]:
+            size = bisect.bisect_right(bases, entry) - 1
+            return unrank_combination(n, size, entry - bases[size])
+
+        # Seeded with the ∅/singleton subsets the fast path certified
+        # distinct, digested by the same vectorized fold the block rows use.
+        table: Dict[int, Any] = {}
         empty_digest = backend.block_digests(backend.stack([backend.empty()]))[0]
-        table[empty_digest] = [()]
+        _table_add(table, empty_digest, 0)
         for index, digest in enumerate(backend.block_digests(matrix)):
-            table.setdefault(digest, []).append((index,))
-        entries = 1 + n  # mirrors len(seen) of the scalar sweep
+            _table_add(table, digest, index + 1)
+        entries = 1 + n  # the next entry id, and len(seen) of the scalar sweep
         enumerated = n + 1
         blocks_evaluated = 0
         rows_pruned = 0
+
+        def stats(subsets_enumerated: int, dominance: int) -> SearchStats:
+            return SearchStats(
+                1,
+                subsets_enumerated,
+                dominance,
+                entries,
+                kernel="block",
+                blocks_evaluated=blocks_evaluated,
+                block_rows_pruned=rows_pruned,
+            )
+
+        def truncated(size: int) -> IdentifiabilityResult:
+            # Mid-size expiry: discard the partial size and stop at the
+            # previous (fully enumerated) size boundary.
+            assert budget is not None
+            return self._budget_truncated(
+                size - 1, 1, budget.consumed, 0, entries,
+                kernel="block",
+                blocks_evaluated=blocks_evaluated,
+                block_rows_pruned=rows_pruned,
+            )
+
         if budget is not None:
             budget.start()
             budget.spend(enumerated)
         for size in range(2, cap + 1):
             if budget is not None and budget.expired():
-                return self._budget_truncated(
-                    size - 1, 1, budget.consumed, 0, entries,
-                    kernel="block",
-                    blocks_evaluated=blocks_evaluated,
-                    block_rows_pruned=rows_pruned,
-                )
-            for subsets, unions, dominated, digests in _block_chunks(
-                signatures, backend, matrix, size, block_size
-            ):
+                return truncated(size)
+            bases.append(entries)
+            for block in _frontier_blocks(backend, matrix, size, block_size):
                 blocks_evaluated += 1
+                digests = block.digests
+                if _clean(block, table):
+                    rows = len(digests)
+                    if budget is not None:
+                        rows, expired = _charge(budget, rows)
+                        if expired:
+                            entries += rows
+                            rows_pruned += rows
+                            return truncated(size)
+                    table.update(zip(digests, range(entries, entries + rows)))
+                    entries += rows
+                    rows_pruned += rows
+                    continue
+                subsets = block.subsets()
                 for j, digest in enumerate(digests):
                     indices = subsets[j]
-                    if dominated[j]:
+                    rank = block.start + j
+                    if j == block.first_dominated:
                         # Dominance: P(last) ⊆ P(U∖{last}) — certified
                         # without touching the table, like the scalar
                         # sweep (on a collision row dominance wins).
-                        smaller = frozenset(
-                            universe[i] for i in indices[:-1]
-                        )
+                        smaller = frozenset(universe[i] for i in indices[:-1])
                         return IdentifiabilityResult(
                             value=size - 1,
                             witness=ConfusablePair(
-                                smaller,
-                                smaller | {universe[indices[-1]]},
+                                smaller, smaller | {universe[indices[-1]]}
                             ),
                             searched_up_to=size,
                             exhausted_search=False,
-                            stats=SearchStats(
-                                1,
-                                enumerated + _lex_rank(indices, n, size) + 1,
-                                1,
-                                entries,
-                                kernel="block",
-                                blocks_evaluated=blocks_evaluated,
-                                block_rows_pruned=rows_pruned,
-                            ),
+                            stats=stats(enumerated + rank + 1, 1),
                         )
                     bucket = table.get(digest)
                     if bucket is None:
-                        table[digest] = [indices]
+                        table[digest] = entries
                         rows_pruned += 1
                     else:
-                        exact = key(unions[j])
-                        partner: Optional[Tuple[int, ...]] = None
-                        for candidate in bucket:
-                            if (
-                                _subset_key(signatures, backend, candidate)
-                                == exact
-                            ):
-                                partner = candidate
-                                break
-                        if partner is not None:
-                            return IdentifiabilityResult(
-                                value=size - 1,
-                                witness=ConfusablePair(
-                                    frozenset(universe[i] for i in partner),
-                                    frozenset(universe[i] for i in indices),
-                                ),
-                                searched_up_to=size,
-                                exhausted_search=False,
-                                stats=SearchStats(
-                                    1,
-                                    enumerated
-                                    + _lex_rank(indices, n, size)
-                                    + 1,
-                                    0,
-                                    entries,
-                                    kernel="block",
-                                    blocks_evaluated=blocks_evaluated,
-                                    block_rows_pruned=rows_pruned,
-                                ),
-                            )
-                        bucket.append(indices)
+                        exact = key(block.unions[j])
+                        for candidate in _bucket(bucket):
+                            partner = entry_subset(candidate)
+                            if _subset_key(signatures, backend, partner) == exact:
+                                return IdentifiabilityResult(
+                                    value=size - 1,
+                                    witness=ConfusablePair(
+                                        frozenset(universe[i] for i in partner),
+                                        frozenset(universe[i] for i in indices),
+                                    ),
+                                    searched_up_to=size,
+                                    exhausted_search=False,
+                                    stats=stats(enumerated + rank + 1, 0),
+                                )
+                        _table_add(table, digest, entries)
                     entries += 1
                     if budget is not None and budget.spend():
-                        # Mid-size expiry: discard the partial size, stop
-                        # at the previous completed size boundary.
-                        return self._budget_truncated(
-                            size - 1, 1, budget.consumed, 0, entries,
-                            kernel="block",
-                            blocks_evaluated=blocks_evaluated,
-                            block_rows_pruned=rows_pruned,
-                        )
+                        return truncated(size)
             enumerated += math.comb(n, size)
         return IdentifiabilityResult(
             value=cap,
             witness=None,
             searched_up_to=cap,
             exhausted_search=True,
-            stats=SearchStats(
-                1,
-                enumerated,
-                0,
-                entries,
-                kernel="block",
-                blocks_evaluated=blocks_evaluated,
-                block_rows_pruned=rows_pruned,
-            ),
+            stats=stats(enumerated, 0),
         )
 
     def _identifiability_sharded(
@@ -2190,16 +2208,12 @@ class SignatureEngine:
             if kernel == "block":
                 matrix = backend.stack(signatures)
                 entries: List[Tuple[int, Tuple[int, ...]]] = []
-                for subsets, _unions, _dominated, digests in _block_chunks(
-                    signatures, backend, matrix, size, block_size
-                ):
-                    for j, digest in enumerate(digests):
-                        entries.append((digest, subsets[j]))
-                        if budget is not None and budget.spend():
-                            raise BudgetExceededError(
-                                f"size-{size} subset census exceeded "
-                                "its search budget"
-                            )
+                for block in _frontier_blocks(backend, matrix, size, block_size):
+                    entries.extend(zip(block.digests, block.subsets()))
+                    if budget is not None and _charge(budget, len(block.digests))[1]:
+                        raise BudgetExceededError(
+                            f"size-{size} subset census exceeded its search budget"
+                        )
                 return self._groups_from_digest_entries(
                     entries, signatures, backend
                 )

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Scenario
 from repro.analysis.theory import (
     predicted_mu_directed_hypergrid,
     predicted_mu_directed_tree,
 )
 from repro.analysis.verification import verify
-from repro.core.identifiability import mu
+from repro.engine.backends import numpy_available
 from repro.monitors.grid_placement import chi_g, reduced_chi_g
 from repro.monitors.tree_placement import chi_t, chi_t_with_missing_leaf
 from repro.routing.mechanisms import RoutingMechanism
@@ -28,32 +29,37 @@ from repro.topology.grids import directed_grid, directed_hypergrid
 from repro.topology.trees import complete_kary_tree, tree_leaves
 
 
+def _mu(graph, placement, mechanism=RoutingMechanism.CSP, max_size=None) -> int:
+    """µ(G|χ) through the scenario facade (structural cap unless ``max_size``)."""
+    return Scenario.from_components(graph, placement, mechanism).mu(max_size).value
+
+
 class TestTheorem41Trees:
     @pytest.mark.parametrize("depth,arity", [(2, 2), (3, 2), (2, 3)])
     def test_downward_tree_mu_is_one(self, depth, arity):
         tree = complete_kary_tree(depth, arity)
-        assert mu(tree, chi_t(tree)) == 1
+        assert _mu(tree, chi_t(tree)) == 1
 
     @pytest.mark.parametrize("depth,arity", [(2, 2), (2, 3)])
     def test_upward_tree_mu_is_one(self, depth, arity):
         tree = complete_kary_tree(depth, arity, direction="up")
-        assert mu(tree, chi_t(tree)) == 1
+        assert _mu(tree, chi_t(tree)) == 1
 
     def test_cap_minus_agrees(self):
         tree = complete_kary_tree(2, 2)
-        assert mu(tree, chi_t(tree), RoutingMechanism.CAP_MINUS) == 1
+        assert _mu(tree, chi_t(tree), RoutingMechanism.CAP_MINUS) == 1
 
     def test_prediction_matches(self):
         tree = complete_kary_tree(3, 2)
         prediction = predicted_mu_directed_tree(tree)
         assert prediction.exact == 1
-        assert prediction.contains(mu(tree, chi_t(tree)))
+        assert prediction.contains(_mu(tree, chi_t(tree)))
 
     def test_optimality_removing_leaf_monitor_drops_mu_to_zero(self):
         tree = complete_kary_tree(2, 2)
         leaf = sorted(tree_leaves(tree))[0]
         weakened = chi_t_with_missing_leaf(tree, leaf)
-        assert mu(tree, weakened) == 0
+        assert _mu(tree, weakened) == 0
 
     def test_verification_report_passes(self):
         tree = complete_kary_tree(2, 2)
@@ -66,11 +72,11 @@ class TestTheorem48Grids:
     @pytest.mark.parametrize("n", [3, 4])
     def test_directed_grid_mu_is_two(self, n):
         grid = directed_grid(n)
-        assert mu(grid, chi_g(grid)) == 2
+        assert _mu(grid, chi_g(grid)) == 2
 
     def test_cap_minus_agrees_on_h3(self):
         grid = directed_grid(3)
-        assert mu(grid, chi_g(grid), RoutingMechanism.CAP_MINUS) == 2
+        assert _mu(grid, chi_g(grid), RoutingMechanism.CAP_MINUS) == 2
 
     def test_prediction_matches(self):
         grid = directed_grid(4)
@@ -93,12 +99,12 @@ class TestTheorem48Grids:
         weakened = reduced_chi_g(grid)
         pathset = enumerate_paths(grid, weakened, "CSP")
         assert not pathset.separates({(1, 2), (2, 1)}, {(1, 1)})
-        assert mu(grid, weakened) < 2
+        assert _mu(grid, weakened) < 2
 
 
 class TestTheorem49Hypergrids:
     def test_three_dimensional_hypergrid_mu_is_three(self, hypergrid_333):
-        assert mu(hypergrid_333, chi_g(hypergrid_333)) == 3
+        assert _mu(hypergrid_333, chi_g(hypergrid_333)) == 3
 
     def test_prediction_matches(self, hypergrid_333):
         assert predicted_mu_directed_hypergrid(hypergrid_333).exact == 3
@@ -112,3 +118,20 @@ class TestTheorem49Hypergrids:
         report = verify(hypergrid_333, chi_g(hypergrid_333))
         assert report.mu_value == 3
         assert report.all_checks_pass
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_benchmark_sized_hypergrids_agree_across_kernels(self, d):
+        """H_{2,4} and H_{2,5}, the largest theorem-search benchmark cells:
+        µ = d with the exact search run to d + 1, and the scalar and block
+        kernels return the same result on the numpy backend."""
+        grid = directed_hypergrid(2, d)
+        engine = enumerate_paths(grid, chi_g(grid), "CSP").engine("numpy")
+        scalar = engine.identifiability(max_size=d + 1, kernel="scalar")
+        block = engine.identifiability(max_size=d + 1, kernel="block")
+        assert scalar.value == d
+        assert scalar.searched_up_to == d + 1
+        assert not scalar.exhausted_search
+        assert block == scalar
+        assert block.stats.subsets_enumerated == scalar.stats.subsets_enumerated
+        assert block.stats.table_entries == scalar.stats.table_entries
