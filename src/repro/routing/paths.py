@@ -3,14 +3,8 @@
 The identifiability machinery never looks at a path beyond the *set of
 elements it touches*, so :class:`PathSet` stores, for every node ``v``, the
 bitmask of indices of paths crossing ``v`` (``P(v)`` in the paper) — and, for
-every link ``(u, v)``, the bitmask of paths traversing it.  The enumerator
-accumulates the node table in the same pass that discovers the paths and
-captures the link *universe* (every edge of the graph); the link masks fall
-out of the consecutive node pairs of the stored paths in one deferred,
-memoised scan on first link-universe query, so node-only consumers never pay
-for them.  Only directly-constructed path sets fall back to re-scanning
-their paths for the node table too.
-Unions over element sets — ``P(U)`` — are then single bitwise ORs.  All heavy
+every link ``(u, v)``, the bitmask of paths traversing it.  Unions over
+element sets — ``P(U)`` — are then single bitwise ORs.  All heavy
 identifiability queries go through the
 :class:`~repro.engine.signatures.SignatureEngine` exposed by
 :meth:`PathSet.engine`, which interns the masks of one
@@ -18,11 +12,42 @@ identifiability queries go through the
 shared-risk link groups via :meth:`PathSet.universe`) once per backend and
 shares them across the core, tomography and experiment layers.
 
+One DFS kernel
+--------------
+
+Every simple-path search in this module runs through :func:`_dfs`, an
+integer-indexed iterative DFS.  :class:`_IndexedGraph` relabels the topology
+once per call to ``0..n-1`` in node-universe (``repr``) order and keeps each
+adjacency list in ``graph.adj`` insertion order; on-path and target flags
+are ``bytearray`` rows, and the "some target is still off the path" prune is
+a count of the targets on the path.  The kernel serves :func:`enumerate_paths`
+(label tuples plus node intervals), :func:`count_paths` (counting only) and
+the scoped searches of :meth:`PathSet.apply_delta` (:func:`_simple_paths`
+with a forbidden set, :func:`_paths_through_edge`, :func:`_monitor_cycles`).
+
+The kernel emits a path before descending past its last node and walks the
+adjacency lists in order, so within one source paths come out in
+lexicographic order of their adjacency-index vectors.  That emission-order
+invariant lives in :func:`_dfs`; :meth:`PathSet.apply_delta` sorts its merged
+survivors and additions by the same vectors to reproduce from-scratch order.
+
+The node masks are built from *prefix intervals*: in depth-first emission
+order, the paths through a node on the DFS stack are one contiguous index
+range ``[k at push, k at pop)``, and a target reached as a leaf adds
+``[k, k + 1)``.  The kernel records those ranges per node and
+:func:`_masks_from_spans` packs each mask once, so no index is ever stored
+per path hop and the path tuples are never re-scanned.  The link universe
+(every edge of the graph) is captured at enumeration, but the link masks are
+derived lazily from the stored paths on the first link query
+(:meth:`PathSet._derive_links`): recording arc intervals in the kernel would
+tax every node-only run.  Directly-constructed path sets derive their node
+table from their paths.
+
 Enumeration per mechanism
 -------------------------
 
 * **CSP** — all simple paths from every input node to every *different*
-  output node (a native multi-target DFS, one traversal per source).
+  output node (one multi-target kernel traversal per source).
 * **CAP⁻** — the CSP paths, plus (a) simple paths from an input node back to
   itself when that node is also an output node, i.e. monitor-anchored simple
   cycles of length >= 2, and (b) simple paths between identical input/output
@@ -38,6 +63,8 @@ Enumeration per mechanism
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -69,6 +96,7 @@ from repro.routing.mechanisms import RoutingMechanism
 from repro.utils.bitset import (
     bit_indices,
     bits_of,
+    mask_from_bytes,
     mask_from_indices,
     masks_from_paths,
 )
@@ -708,15 +736,15 @@ class PathSet:
           and through each added link via a two-segment composition
           (prefix to the link's tail avoiding its head, the link itself,
           then a suffix DFS forbidden from re-entering the prefix);
-        * the cycle/loop families (CAP/CAP⁻ only) are re-emitted by the
-          canonical generator — they are cheap, and their dedup
-          representative depends on global emission order;
+        * the cycle/loop families (CAP/CAP⁻ only) are re-emitted by
+          :func:`_closed_family` — they are cheap, and the orientation kept
+          for an undirected cycle depends on the post-delta adjacency order;
         * every untouched path *survives* and its mask columns are remapped
           instead of re-scanned.
 
         Exactness of the ordering relies on the emission-order invariant of
-        :func:`_iter_simple_paths`: within one source, paths are emitted in
-        lexicographic order of their adjacency-index vectors (the DFS yields
+        the kernel :func:`_dfs`: within one source, paths are emitted in
+        lexicographic order of their adjacency-index vectors (the DFS emits
         before it descends and walks adjacency in insertion order), so
         sorting the merged open family by (source rank, adjacency-index
         vector over the post-delta graph) reproduces the from-scratch order
@@ -728,6 +756,7 @@ class PathSet:
         of re-interning every row.
         """
         mechanism = RoutingMechanism.parse(mechanism)
+        _check_limits(cutoff, max_paths)
         directed = bool(graph.is_directed())
         if bool(self.directed) != directed:
             raise RoutingError(
@@ -797,30 +826,55 @@ class PathSet:
         #    old family starts at an added input, ends at an added output, or
         #    traverses an added link (the old enumeration was exhaustive over
         #    everything else).  The three searches overlap; the set dedups.
+        #    Each search emits distinct post-delta paths, so one that passes
+        #    max_paths on its own already proves the explosion.
+        indexed = _IndexedGraph(graph, self.nodes)
         additions: Set[Path] = set()
         kept_inputs = placement.inputs - added_inputs
-        for source in added_inputs:
-            additions.update(
-                _iter_simple_paths(graph, source, placement.outputs, cutoff)
-            )
-        if added_outputs:
-            for source in kept_inputs:
+        try:
+            for source in added_inputs:
                 additions.update(
-                    _iter_simple_paths(graph, source, added_outputs, cutoff)
+                    _simple_paths(
+                        indexed, source, placement.outputs, cutoff, limit=max_paths
+                    )
                 )
-        for tail, head in added_links:
-            if tail == head:
-                continue  # a self-loop joins the universe but carries no path
-            orientations = ((tail, head),) if directed else ((tail, head), (head, tail))
-            for a, b in orientations:
+            if added_outputs:
                 for source in kept_inputs:
                     additions.update(
-                        _paths_through_edge(
-                            graph, source, placement.outputs, a, b, cutoff
+                        _simple_paths(
+                            indexed, source, added_outputs, cutoff, limit=max_paths
                         )
                     )
+            for tail, head in added_links:
+                if tail == head:
+                    continue  # a self-loop joins the universe but carries no path
+                orientations = (
+                    ((tail, head),) if directed else ((tail, head), (head, tail))
+                )
+                for a, b in orientations:
+                    for source in kept_inputs:
+                        additions.update(
+                            _paths_through_edge(
+                                indexed, source, placement.outputs, a, b, cutoff,
+                                max_paths,
+                            )
+                        )
+            if len(survivors) + len(additions) > max_paths:
+                raise _PathOverflow
+            # 3. Closed families (CAP/CAP⁻): re-emitted in canonical order —
+            #    surviving cycles are matched back to their old columns by
+            #    tuple identity below.
+            closed = _closed_family(
+                indexed,
+                placement,
+                mechanism,
+                cutoff,
+                max_paths - len(survivors) - len(additions),
+            )
+        except _PathOverflow:
+            raise _explosion(max_paths) from None
 
-        # 3. Order the merged open family exactly as a fresh enumeration
+        # 4. Order the merged open family exactly as a fresh enumeration
         #    would: grouped by source in repr order, lexicographic in the
         #    adjacency-index vector within one source.
         adjacency = graph.adj
@@ -846,32 +900,7 @@ class PathSet:
         open_family.extend((order_key(path), None, path) for path in additions)
         open_family.sort(key=lambda item: item[0])
 
-        # 4. Closed families (CAP/CAP⁻): re-emitted by the canonical
-        #    generator — their dedup representative depends on emission order
-        #    over the post-delta adjacency, so surviving cycles are detected
-        #    by tuple identity rather than filtered.
-        closed: List[Path] = []
-        if mechanism.allows_cycles or mechanism.allows_dlp:
-            seen: Set[Path] = set()
-            if mechanism.allows_cycles:
-                for anchor in sorted(placement.dlp_candidates, key=repr):
-                    for cycle in _monitor_cycles(graph, anchor, cutoff):
-                        if cycle not in seen:
-                            seen.add(cycle)
-                            closed.append(cycle)
-            if mechanism.allows_dlp:
-                for anchor in sorted(placement.dlp_candidates, key=repr):
-                    loop = (anchor, anchor)
-                    if loop not in seen:
-                        seen.add(loop)
-                        closed.append(loop)
-
         total = len(open_family) + len(closed)
-        if total > max_paths:
-            raise PathExplosionError(
-                f"more than max_paths={max_paths} measurement paths; "
-                "increase the cap or use a smaller topology"
-            )
         if total == 0:
             raise RoutingError(
                 "no measurement path exists for this placement under "
@@ -975,80 +1004,218 @@ class PathSet:
         )
 
 
-def _iter_simple_paths(
-    graph: AnyGraph,
+class _PathOverflow(Exception):
+    """Raised by :func:`_dfs` when an emission would pass its ``limit``.
+
+    Private: the entry points re-raise it as :class:`PathExplosionError`
+    naming the caller's ``max_paths`` (the kernel only sees the local bound
+    of one scoped search).
+    """
+
+
+def _explosion(max_paths: int) -> PathExplosionError:
+    return PathExplosionError(
+        f"more than max_paths={max_paths} measurement paths; "
+        "increase the cap or use a smaller topology"
+    )
+
+
+def _check_limits(cutoff: Optional[int], max_paths: int) -> None:
+    """Reject a routing limit of the wrong type at the library boundary.
+
+    ``cutoff`` is ``None`` or an int (a non-positive one is legal and admits
+    no path); ``max_paths`` is an int ``>= 1``.  Bools are refused for both:
+    ``True`` would otherwise pass as ``1``.
+    """
+    if cutoff is not None and (isinstance(cutoff, bool) or not isinstance(cutoff, int)):
+        raise RoutingError(
+            f"routing cutoff must be an int number of edges or None, got {cutoff!r}"
+        )
+    if isinstance(max_paths, bool) or not isinstance(max_paths, int) or max_paths < 1:
+        raise RoutingError(f"routing max_paths must be an int >= 1, got {max_paths!r}")
+
+
+class _IndexedGraph:
+    """A topology relabelled to ``0..n-1`` for the DFS kernel.
+
+    ``labels[i]`` is node ``i`` (repr order, the node-universe order of
+    :class:`PathSet`), ``index`` maps back, and ``adj[i]`` lists the
+    neighbour indices of node ``i`` in ``graph.adj`` insertion order — the
+    order the emission-order invariant (see :func:`_dfs`) is stated in.
+    """
+
+    __slots__ = ("labels", "index", "adj", "directed")
+
+    def __init__(self, graph: AnyGraph, labels: Optional[Tuple[Node, ...]] = None) -> None:
+        if labels is None:
+            labels = tuple(sorted(graph.nodes, key=repr))
+        index = {node: i for i, node in enumerate(labels)}
+        adjacency = graph.adj
+        self.labels = labels
+        self.index = index
+        self.adj = [[index[v] for v in adjacency[u]] for u in labels]
+        self.directed = bool(graph.is_directed())
+
+    def flags(self, nodes: Iterable[Node]) -> bytearray:
+        """A 0/1 byte per node index, set for the members of ``nodes``."""
+        row = bytearray(len(self.labels))
+        index = self.index
+        for node in nodes:
+            position = index.get(node)
+            if position is not None:
+                row[position] = 1
+        return row
+
+
+def _max_nodes(indexed: _IndexedGraph, cutoff: Optional[int]) -> int:
+    """The most nodes a path of at most ``cutoff`` edges may hold."""
+    return len(indexed.labels) if cutoff is None else cutoff + 1
+
+
+def _dfs(
+    adj: List[List[int]],
+    labels: Sequence[Node],
+    source: int,
+    is_target: bytearray,
+    n_targets: int,
+    on_path: bytearray,
+    max_nodes: int,
+    k: int,
+    limit: int,
+    paths: Optional[List[Path]] = None,
+    spans: Optional[List["array[int]"]] = None,
+    prefix: Tuple[Node, ...] = (),
+) -> int:
+    """The simple-path DFS: every path from ``source`` to a target node.
+
+    The one traversal behind every enumeration in this module.  ``k`` is the
+    index of the next emitted path and the return value is the index after
+    the last one; emitting index ``limit`` or beyond raises
+    :class:`_PathOverflow` before the path is built.  ``is_target`` and
+    ``on_path`` are 0/1 byte rows over node indices: the caller clears the
+    source (and any node it forbids) from the targets, counts them in
+    ``n_targets``, and sets forbidden nodes in ``on_path``; both rows are
+    restored on return.  A path holds at most ``max_nodes`` nodes, not
+    counting ``prefix``, a label tuple prepended to every emitted path.
+
+    With ``paths`` the label tuples are appended to it; with ``spans`` the
+    paths through each node are recorded as prefix intervals: depth-first
+    emission makes every path through a stack node one contiguous index
+    range ``[k at push, k at pop)``, and a target reached as a leaf gets
+    ``[k, k + 1)``.  ``spans[v]`` receives flat ``lo, hi`` pairs in
+    increasing order.  With neither, paths are only counted.
+
+    The traversal descends into a child only while some target is still off
+    the path (an O(1) count of targets on the path), and walks ``adj`` in
+    order, emitting a path before descending past its last node — so within
+    one source, paths come out in lexicographic order of their
+    adjacency-index vectors.  :meth:`PathSet.apply_delta` relies on that
+    invariant to merge scoped searches into from-scratch order.
+    """
+    if n_targets < 1 or max_nodes < 2:
+        return k
+    emit = paths is not None
+    record = spans is not None
+    append = paths.append if paths is not None else None
+    path = [*prefix, labels[source]]
+    trail = [source]
+    starts = [k]
+    deepest = max_nodes - 1
+    hits = 0
+    on_path[source] = 1
+    stack = [iter(adj[source])]
+    while stack:
+        room = len(trail) < deepest
+        fork = room and n_targets - hits > 1
+        for child in stack[-1]:
+            if on_path[child]:
+                continue
+            if is_target[child]:
+                if k >= limit:
+                    raise _PathOverflow
+                if emit:
+                    append((*path, labels[child]))
+                k += 1
+                if not fork:
+                    if record:
+                        spans[child].extend((k - 1, k))
+                    continue
+                hits += 1
+                starts.append(k - 1)
+            elif room:
+                starts.append(k)
+            else:
+                continue
+            trail.append(child)
+            on_path[child] = 1
+            if emit:
+                path.append(labels[child])
+            stack.append(iter(adj[child]))
+            break
+        else:
+            stack.pop()
+            node = trail.pop()
+            on_path[node] = 0
+            hits -= is_target[node]
+            start = starts.pop()
+            if emit:
+                path.pop()
+            if record and k > start:
+                spans[node].extend((start, k))
+    return k
+
+
+def _simple_paths(
+    indexed: _IndexedGraph,
     source: Node,
     targets: Iterable[Node],
     cutoff: Optional[int],
-    forbidden: Optional[AbstractSet[Node]] = None,
-) -> Iterator[Path]:
-    """Yield all simple paths from ``source`` to any of ``targets``.
+    forbidden: Iterable[Node] = (),
+    prefix: Tuple[Node, ...] = (),
+    limit: int = sys.maxsize,
+) -> List[Path]:
+    """All simple paths from ``source`` to any of ``targets``, as label
+    tuples in :func:`_dfs` emission order (``prefix`` prepended).
 
-    A native iterative multi-target DFS: one traversal per source covers
-    every target, so path prefixes shared between targets are walked only
-    once — and, unlike ``networkx.all_simple_paths``, the on-path node set is
-    carried explicitly, the generator emits tuples directly, and no wrapper
-    generators sit between the traversal and the caller.  Paths from a node
-    to itself are excluded (the DLP/cycle cases are handled by the callers).
-
-    ``cutoff`` limits the path length in *edges* (``None`` = unlimited).
-    The traversal descends into a child only while some target lies outside
-    the current path, matching the classic pruning of the networkx
-    implementation; emission order is depth-first in adjacency order — i.e.
-    lexicographic in the path's adjacency-index vector, an invariant
-    :meth:`PathSet.apply_delta` relies on to merge incremental results into
-    from-scratch order.
-
-    ``forbidden`` excludes a node set from the traversal entirely (used by
-    the delta layer's two-segment composition); forbidden nodes are never
-    visited and never count as targets.
+    Paths from a node to itself are excluded.  ``cutoff`` limits the path
+    length in *edges* (``None`` = unlimited).  ``forbidden`` nodes are never
+    visited and never count as targets; a forbidden source yields nothing.
+    At most ``limit`` paths are emitted before :class:`_PathOverflow`.
     """
-    target_set = {t for t in targets if t != source}
-    if forbidden:
-        if source in forbidden:
-            return
-        target_set -= set(forbidden)
-    if not target_set:
-        return
-    if source not in graph:
+    start = indexed.index.get(source)
+    if start is None:
         raise RoutingError(f"source node {source!r} is not in the graph")
-    adjacency = graph.adj
-    max_nodes = graph.number_of_nodes() if cutoff is None else cutoff + 1
-    if max_nodes < 2:
-        return  # no room for even a 1-edge path (cutoff <= 0 / trivial graph)
-    path: List[Node] = [source]
-    # Folding the forbidden set into the on-path set blocks both descent and
-    # emission; backtracking only ever pops appended path nodes, so the
-    # forbidden members stay put for the whole traversal.
-    on_path = {source} | set(forbidden) if forbidden else {source}
-    stack: List[Iterator[Node]] = [iter(adjacency[source])]
-    while stack:
-        descended = False
-        for child in stack[-1]:
-            if child in on_path:
-                continue
-            if child in target_set:
-                yield tuple(path) + (child,)
-            if len(path) < max_nodes - 1 and not target_set <= on_path | {child}:
-                path.append(child)
-                on_path.add(child)
-                stack.append(iter(adjacency[child]))
-                descended = True
-                break
-        if not descended:
-            stack.pop()
-            on_path.discard(path.pop())
+    blocked = set(forbidden)
+    if source in blocked:
+        return []
+    is_target = indexed.flags(set(targets) - blocked - {source})
+    paths: List[Path] = []
+    _dfs(
+        indexed.adj,
+        indexed.labels,
+        start,
+        is_target,
+        is_target.count(1),
+        indexed.flags(blocked),
+        _max_nodes(indexed, cutoff),
+        0,
+        limit,
+        paths=paths,
+        prefix=prefix,
+    )
+    return paths
 
 
 def _paths_through_edge(
-    graph: AnyGraph,
+    indexed: _IndexedGraph,
     source: Node,
     targets: AbstractSet[Node],
     tail: Node,
     head: Node,
     cutoff: Optional[int],
-) -> Iterator[Path]:
-    """Yield simple ``source``→target paths traversing the edge ``tail→head``.
+    limit: int = sys.maxsize,
+) -> List[Path]:
+    """Simple ``source``→target paths traversing the edge ``tail→head``.
 
     The delta layer's scoped search for paths through one *added* link: every
     such path decomposes uniquely into a simple prefix from ``source`` to
@@ -1057,107 +1224,165 @@ def _paths_through_edge(
     avoiding every prefix node — so enumerating (prefix, suffix) pairs with
     the forbidden-set DFS finds each qualifying path exactly once.  For
     undirected graphs the caller invokes this twice, once per orientation.
+    At most ``limit`` paths are returned before :class:`_PathOverflow`.
     """
     if source == head:
-        return  # the edge would re-enter the source: never simple
+        return []  # the edge would re-enter the source: never simple
     if cutoff is not None and cutoff < 1:
-        return
+        return []
     if source == tail:
-        prefixes: Iterable[Path] = ((tail,),)
+        prefixes: List[Path] = [(tail,)]
     else:
         prefix_cutoff = None if cutoff is None else cutoff - 1
-        prefixes = _iter_simple_paths(
-            graph, source, {tail}, prefix_cutoff, forbidden={head}
-        )
+        prefixes = _simple_paths(indexed, source, (tail,), prefix_cutoff, (head,))
+    found: List[Path] = []
     for prefix in prefixes:
-        with_edge = prefix + (head,)
         if head in targets:
-            yield with_edge
+            if len(found) >= limit:
+                raise _PathOverflow
+            found.append(prefix + (head,))
         remaining = None if cutoff is None else cutoff - len(prefix)
         if remaining is not None and remaining < 1:
             continue
-        for suffix in _iter_simple_paths(
-            graph, head, targets, remaining, forbidden=frozenset(prefix)
-        ):
-            yield prefix + suffix
+        found.extend(
+            _simple_paths(
+                indexed, head, targets, remaining, prefix, prefix, limit - len(found)
+            )
+        )
+    return found
 
 
 def _monitor_cycles(
-    graph: AnyGraph, anchor: Node, cutoff: Optional[int]
-) -> Iterator[Path]:
-    """Yield simple cycles through ``anchor`` as closed node tuples.
+    indexed: _IndexedGraph, anchor: Node, cutoff: Optional[int], limit: int = sys.maxsize
+) -> List[Path]:
+    """Simple cycles through ``anchor`` as closed node tuples.
 
     Used by CAP/CAP⁻ for paths that start and end at the same monitor node.
     A cycle is represented by its node sequence starting and ending at the
-    anchor, e.g. ``(a, b, c, a)``.
+    anchor, e.g. ``(a, b, c, a)``; ``cutoff`` bounds the edges after the
+    first hop.  In an undirected graph a cycle and its reversal traverse the
+    same edges, so only the orientation emitted first is kept: the one whose
+    first hop comes before its last hop in the anchor's adjacency order (two
+    different simple cycles never share an edge set, so nothing else is
+    dropped).  Each DFS emits at most ``limit`` raw paths.
     """
-    if graph.is_directed():
-        for successor in graph.successors(anchor):
-            if successor == anchor:
-                continue
-            for path in _iter_simple_paths(graph, successor, {anchor}, cutoff):
-                yield (anchor,) + path
-    else:
-        # Dedup by the canonical *edge* set, not the node set: two genuinely
-        # different simple cycles can visit the same nodes in different orders
-        # (e.g. (a,b,c,d,a) vs (a,c,b,d,a) in K4) and must both be kept, while
-        # a pure reversal traverses the same undirected edges and is
-        # suppressed.  A simple cycle never repeats an undirected edge, so a
-        # frozenset of unordered endpoint pairs is a faithful canonical form.
-        seen: set = set()
-        for neighbour in graph.neighbors(anchor):
-            for path in _iter_simple_paths(graph, neighbour, {anchor}, cutoff):
-                if len(path) < 3:
-                    # (neighbour, anchor) would retrace the same edge.
-                    continue
-                cycle = (anchor,) + path
-                key = frozenset(
-                    frozenset(pair) for pair in zip(cycle, cycle[1:])
-                )
-                if key not in seen:
-                    seen.add(key)
-                    yield cycle
+    labels = indexed.labels
+    start = indexed.index[anchor]
+    neighbours = [labels[v] for v in indexed.adj[start] if v != start]
+    rank = {node: i for i, node in enumerate(neighbours)}
+    cycles: List[Path] = []
+    for first, neighbour in enumerate(neighbours):
+        for cycle in _simple_paths(
+            indexed, neighbour, (anchor,), cutoff, prefix=(anchor,), limit=limit
+        ):
+            # Undirected: (anchor, neighbour, anchor) retraces one edge.
+            if indexed.directed or (len(cycle) > 3 and first < rank[cycle[-2]]):
+                cycles.append(cycle)
+    return cycles
 
 
-def _generate_measurement_paths(
-    graph: AnyGraph,
+def _closed_family(
+    indexed: _IndexedGraph,
     placement: MonitorPlacement,
     mechanism: RoutingMechanism,
     cutoff: Optional[int],
-) -> Iterator[Path]:
-    """Yield the measurement paths of ``P(G|χ)`` in canonical order, deduped.
+    budget: int,
+) -> List[Path]:
+    """The CAP/CAP⁻ paths that start and end on one node, in canonical order.
 
-    The CSP family needs no dedup: paths from different sources differ in
-    their first node, and the multi-target DFS emits each simple path from
-    one source exactly once.  Duplicates can only arise inside the CAP/CAP⁻
-    cycle and self-path families, so the ``seen`` set is scoped there — the
-    (usually much larger) CSP family is streamed straight through without
-    hashing every tuple.
+    Monitor-anchored simple cycles (CAP⁻ and CAP), then the degenerate loop
+    paths ``(v, v)`` (CAP only), anchors in repr order.  The tuples are
+    pairwise distinct (every closed path starts at its anchor and cycles
+    have at least three nodes), so no dedup set is needed.  More than
+    ``budget`` paths raise :class:`_PathOverflow`; one raw cycle DFS may
+    emit ``budget + 1`` paths, since each emission beyond the kept ones
+    (at most one retraced edge per neighbour) is the reversal of a kept
+    cycle from an earlier neighbour.
     """
-    placement.validate(graph)
+    closed: List[Path] = []
+    anchors = sorted(placement.dlp_candidates, key=repr)
+    if mechanism.allows_cycles:
+        for anchor in anchors:
+            closed.extend(_monitor_cycles(indexed, anchor, cutoff, budget + 1))
+            if len(closed) > budget:
+                raise _PathOverflow
+    if mechanism.allows_dlp:
+        closed.extend((anchor, anchor) for anchor in anchors)
+    if len(closed) > budget:
+        raise _PathOverflow
+    return closed
 
-    # Simple input -> output paths with distinct endpoints (all mechanisms).
-    # One multi-target traversal per source; see _iter_simple_paths.
-    for source in sorted(placement.inputs, key=repr):
-        yield from _iter_simple_paths(graph, source, placement.outputs, cutoff)
 
-    if mechanism.allows_cycles or mechanism.allows_dlp:
-        seen: set = set()
-        if mechanism.allows_cycles:
-            # Paths that start and end on the same node which is both an input
-            # and an output node: monitor-anchored simple cycles (>= 2 edges).
-            for anchor in sorted(placement.dlp_candidates, key=repr):
-                for cycle in _monitor_cycles(graph, anchor, cutoff):
-                    if cycle not in seen:
-                        seen.add(cycle)
-                        yield cycle
-        if mechanism.allows_dlp:
-            # Degenerate loop paths: the single-node loop m·(vv)·M.
-            for anchor in sorted(placement.dlp_candidates, key=repr):
-                loop = (anchor, anchor)
-                if loop not in seen:
-                    seen.add(loop)
-                    yield loop
+def _measurement_paths(
+    indexed: _IndexedGraph,
+    placement: MonitorPlacement,
+    mechanism: RoutingMechanism,
+    cutoff: Optional[int],
+    max_paths: int,
+    paths: Optional[List[Path]] = None,
+    spans: Optional[List["array[int]"]] = None,
+) -> int:
+    """Run the measurement paths of ``P(G|χ)`` through the kernel, in
+    canonical order, and return how many there are.
+
+    The open family — simple input→output paths with distinct endpoints,
+    one multi-target DFS per input in repr order — is appended to
+    ``paths`` and recorded into ``spans`` when given; the closed CAP/CAP⁻
+    family follows, each of its paths adding one-index intervals for the
+    nodes it touches.  More than ``max_paths`` paths raise
+    :class:`PathExplosionError`.
+    """
+    adj, labels = indexed.adj, indexed.labels
+    is_target = indexed.flags(placement.outputs)
+    n_outputs = is_target.count(1)
+    on_path = bytearray(len(labels))
+    max_nodes = _max_nodes(indexed, cutoff)
+    k = 0
+    try:
+        for source in sorted(placement.inputs, key=repr):
+            start = indexed.index[source]
+            own = is_target[start]
+            is_target[start] = 0
+            k = _dfs(
+                adj, labels, start, is_target, n_outputs - own, on_path,
+                max_nodes, k, max_paths, paths, spans,
+            )
+            is_target[start] = own
+        closed = _closed_family(indexed, placement, mechanism, cutoff, max_paths - k)
+    except _PathOverflow:
+        raise _explosion(max_paths) from None
+    if paths is not None:
+        paths.extend(closed)
+    if spans is not None:
+        index = indexed.index
+        for offset, cycle in enumerate(closed, start=k):
+            for node in cycle[:-1]:
+                spans[index[node]].extend((offset, offset + 1))
+    return k + len(closed)
+
+
+def _masks_from_spans(spans: Sequence["array[int]"]) -> List[int]:
+    """Pack each node's ``lo, hi`` interval pairs into its ``P(v)`` mask.
+
+    A node's intervals are disjoint, so its mask is ``Σ 2**hi − Σ 2**lo``:
+    the ``lo`` and ``hi`` ends are scattered into two 0/1 ``bytearray`` rows,
+    each packed once by :func:`~repro.utils.bitset.mask_from_bytes`, and one
+    big-int subtraction fills every interval.  Pairs arrive in increasing
+    order, so the last ``hi`` bounds both rows.
+    """
+    masks: List[int] = []
+    for pairs in spans:
+        if not pairs:
+            masks.append(0)
+            continue
+        width = pairs[-1] + 1
+        lows, highs = bytearray(width), bytearray(width)
+        bounds = iter(pairs)
+        for lo, hi in zip(bounds, bounds):
+            lows[lo] = 1
+            highs[hi] = 1
+        masks.append(mask_from_bytes(highs) - mask_from_bytes(lows))
+    return masks
 
 
 def enumerate_paths(
@@ -1169,11 +1394,15 @@ def enumerate_paths(
 ) -> PathSet:
     """Enumerate the measurement paths ``P(G|χ)`` under a routing mechanism.
 
-    The node masks ``P(v)`` are accumulated *while the paths are generated* —
-    each path contributes its index to the per-node incidence lists as it is
-    emitted, and the big-int masks are built once at the end
-    (:func:`repro.utils.bitset.mask_from_indices`), so the path tuples are
-    never re-scanned after enumeration.
+    The graph is relabelled once to ``0..n-1`` (node-universe order) and
+    every input runs through the integer DFS kernel :func:`_dfs`.  The node
+    masks ``P(v)`` come from the same traversal as *prefix intervals*: the
+    paths through a node on the DFS stack form one contiguous index range,
+    so the kernel records one ``[lo, hi)`` pair per push instead of one
+    index per path hop, and each mask is packed once at the end
+    (:func:`_masks_from_spans`).  The path tuples are never re-scanned.
+    Link masks stay lazy (:meth:`PathSet._derive_links`): recording arc
+    intervals in the kernel would tax every node-only run.
 
     Parameters
     ----------
@@ -1185,10 +1414,12 @@ def enumerate_paths(
         One of :class:`RoutingMechanism` (or its string name).  Default CSP.
     cutoff:
         Optional maximum path length in *edges*; ``None`` enumerates all.
+        A non-int raises :class:`RoutingError`; a non-positive one admits no
+        path (hence also :class:`RoutingError`).
     max_paths:
-        Guard against explosion; :class:`PathExplosionError` is raised when
-        more paths than this would be enumerated (the paper's own exhaustive
-        search stops around 5·10⁶ paths).
+        Guard against explosion, an int ``>= 1``; :class:`PathExplosionError`
+        is raised when more paths than this would be enumerated (the paper's
+        own exhaustive search stops around 5·10⁶ paths).
 
     Returns
     -------
@@ -1196,45 +1427,29 @@ def enumerate_paths(
         The measurement paths over the full node set of ``graph``.
     """
     mechanism = RoutingMechanism.parse(mechanism)
+    _check_limits(cutoff, max_paths)
+    placement.validate(graph)
     node_universe = tuple(sorted(graph.nodes, key=repr))
     directed = bool(graph.is_directed())
     # The link universe is the *full* edge set of the graph (canonicalised),
     # so an edge no path traverses is an uncovered failure element.  Only the
     # universe is captured here; the per-link masks derive from the stored
-    # paths on first link-universe query (PathSet._derive_links), keeping the
-    # node-only hot path exactly as fast as before links existed.
+    # paths on first link-universe query (PathSet._derive_links).
     link_universe = tuple(
         sorted(
             {canonical_link(u, v, directed) for u, v in graph.edges()}, key=repr
         )
     )
-
+    indexed = _IndexedGraph(graph, node_universe)
     paths: List[Path] = []
-    index_lists: Dict[Node, List[int]] = {node: [] for node in node_universe}
-    for path in _generate_measurement_paths(graph, placement, mechanism, cutoff):
-        index = len(paths)
-        paths.append(path)
-        if len(paths) > max_paths:
-            raise PathExplosionError(
-                f"more than max_paths={max_paths} measurement paths; "
-                "increase the cap or use a smaller topology"
-            )
-        # Every emitted path is simple apart from a possibly repeated
-        # endpoint (cycles, degenerate loops), so dropping the last node of
-        # a closed tuple leaves exactly the distinct touched nodes — no
-        # ``set(path)`` per path needed.
-        touched = path[:-1] if path[0] == path[-1] else path
-        for node in touched:
-            index_lists[node].append(index)
-
+    spans = [array("q") for _ in node_universe]
+    _measurement_paths(indexed, placement, mechanism, cutoff, max_paths, paths, spans)
     if not paths:
         raise RoutingError(
             "no measurement path exists for this placement under "
             f"{mechanism.value}; identifiability would be undefined"
         )
-    masks = {
-        node: mask_from_indices(indices) for node, indices in index_lists.items()
-    }
+    masks = dict(zip(node_universe, _masks_from_spans(spans)))
     return PathSet(
         node_universe,
         tuple(paths),
@@ -1264,23 +1479,20 @@ def count_paths(
     cutoff: Optional[int] = DEFAULT_CUTOFF,
     max_paths: int = DEFAULT_MAX_PATHS,
 ) -> int:
-    """``|P(G|χ)|`` (as in Tables 3-5), streamed off the enumeration.
+    """``|P(G|χ)|`` (as in Tables 3-5), counted by the enumeration kernel.
 
-    Counts the paths as the traversal emits them — no :class:`PathSet`, no
-    node masks, no stored tuples (beyond the scoped cycle-family dedup set).
-    Semantics match :func:`enumerate_paths` exactly: the same
-    :class:`PathExplosionError` guard applies and an empty path family
+    The open family is only counted — no :class:`PathSet`, no tuples, no
+    intervals; the (small) closed CAP/CAP⁻ family is built and counted.
+    Semantics match :func:`enumerate_paths` exactly: the same limit checks
+    and :class:`PathExplosionError` guard apply, and an empty path family
     raises :class:`RoutingError`.
     """
     mechanism = RoutingMechanism.parse(mechanism)
-    count = 0
-    for _ in _generate_measurement_paths(graph, placement, mechanism, cutoff):
-        count += 1
-        if count > max_paths:
-            raise PathExplosionError(
-                f"more than max_paths={max_paths} measurement paths; "
-                "increase the cap or use a smaller topology"
-            )
+    _check_limits(cutoff, max_paths)
+    placement.validate(graph)
+    count = _measurement_paths(
+        _IndexedGraph(graph), placement, mechanism, cutoff, max_paths
+    )
     if count == 0:
         raise RoutingError(
             "no measurement path exists for this placement under "
