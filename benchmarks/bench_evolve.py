@@ -1,4 +1,4 @@
-"""PR 7 perf trajectory: incremental scenario evolution under link churn.
+"""Churn replay on the d-4 cell: cached-rebuild evolution vs full recomputation.
 
 One cell on the Table 3 topology (Claranet under the d-4 Agrid boost, MDMP
 d-4 monitors, CSP — ~150k measurement paths): a single link flaps
@@ -6,12 +6,11 @@ d-4 monitors, CSP — ~150k measurement paths): a single link flaps
 trajectory is computed two ways:
 
 * **evolved chain** — ``Scenario.evolve(delta)`` per step with the engine
-  cache on.  The first few transitions pay :meth:`PathSet.apply_delta
-  <repro.routing.paths.PathSet.apply_delta>` plus a dirty-rows-only engine
-  patch (:meth:`SignatureEngine.from_delta
-  <repro.engine.signatures.SignatureEngine.from_delta>`); once both flap
-  states have been seen the (parent fingerprint, delta fingerprint) cache
-  cycles between two interned path sets and a step costs only the µ search.
+  cache on.  Each step derives the post-delta spec and builds it through
+  the pathset cache, which keys on graph adjacency order.  The first few
+  transitions enumerate their state cold; once both flap states have been
+  seen the replay cycles between two cached path sets, so a step costs only
+  the µ search over engines already interned on them.
 * **rebuild chain** — full recomputation: every post-delta spec (captured
   as a JSON dict in an untimed pass) is built from scratch with the engine
   cache off, re-enumerating and re-interning the whole universe each step.
@@ -19,8 +18,8 @@ trajectory is computed two ways:
 Every step asserts bit-parity between the two chains — µ, witness,
 ``searched_up_to`` and the path count — and the replay must come out at
 least ``BENCH_EVOLVE_MIN_SPEEDUP`` (default 3) times faster end to end.
-The speedup is algorithmic (cache + delta patching), not parallel, so it is
-asserted unconditionally, including on single-core runners.
+The speedup is algorithmic (about 3 cold builds against 24), not parallel,
+so it is asserted unconditionally, including on single-core runners.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ def _flap_replay(seed: int) -> Dict[str, Any]:
 
     # Untimed pass: capture the post-delta spec of every step as a plain
     # JSON dict — the rebuild chain's input — so the timed rebuild side
-    # never touches the incremental machinery.
+    # never calls evolve.
     probe = Scenario(spec)
     step_specs: List[Dict[str, Any]] = []
     for delta in deltas:

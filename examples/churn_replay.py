@@ -6,10 +6,11 @@ the repository's sample churn sequence (``examples/specs/churn/
 claranet_flaps.json``: a link flap, a new peering, monitors joining) on the
 Claranet topology three ways and shows they agree bit-for-bit:
 
-1. **evolve** — ``Scenario.evolve(delta)`` per step, patching the path set
-   and re-interning only the dirty signature rows;
+1. **evolve** — ``Scenario.evolve(delta)`` per step: the post-delta spec,
+   built through the pathset cache (keyed on graph adjacency order, so a
+   flap back to an earlier state reuses that state's path set);
 2. **rebuild** — building each step's serialised post-delta spec from
-   scratch, the ground truth evolve must match;
+   scratch with the pathset cache off, the ground truth evolve must match;
 3. **inverse** — undoing the last delta with ``DeltaSpec.inverse()`` and
    checking the trajectory returns to where it was.
 
@@ -19,6 +20,7 @@ Run:  python examples/churn_replay.py
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from repro import DeltaSpec, Scenario, ScenarioSpec
@@ -41,8 +43,10 @@ def main() -> None:
         trajectory.append(current)
 
         # Ground truth: the evolved scenario's spec is a literal, serialisable
-        # ScenarioSpec — build it from scratch and compare every report.
-        rebuilt = Scenario(ScenarioSpec.from_dict(current.spec.to_dict()))
+        # ScenarioSpec — build it from scratch, enumerating its own paths
+        # (cache off), and compare every report.
+        spec = ScenarioSpec.from_dict(current.spec.to_dict())
+        rebuilt = Scenario(spec.with_engine(replace(spec.engine, cache=False)))
         evolved_mu = current.mu()
         agreed = (
             evolved_mu == rebuilt.mu()

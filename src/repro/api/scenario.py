@@ -233,20 +233,21 @@ class Scenario:
 
     # -- evolution -----------------------------------------------------------
     def evolve(self, delta) -> "Scenario":
-        """A new scenario with ``delta`` applied, reusing everything untouched.
+        """A new scenario with ``delta`` applied.
 
         ``delta`` is a :class:`~repro.api.spec.DeltaSpec` (or a mapping in its
         JSON shape): link flaps, monitor joins/leaves and optionally a full
-        SRLG re-definition.  The returned scenario is indistinguishable from
-        building the post-delta spec from scratch — its spec is a literal,
-        serialisable :class:`ScenarioSpec` and every analysis result is
-        bit-identical — but the measurement paths are *patched* from this
-        scenario's path set (:meth:`PathSet.apply_delta
-        <repro.routing.paths.PathSet.apply_delta>`) rather than re-enumerated,
-        and the signature engines are re-interned only on the dirty rows.
-        When the spec's engine cache is on, evolved path sets are memoised
-        under (parent fingerprint, delta fingerprint), so replayed churn
-        sequences pay for each distinct transition once.
+        SRLG re-definition.  The delta is validated against this scenario
+        and turned into the post-delta spec — a literal, serialisable
+        :class:`ScenarioSpec` — which is then built like any other: its path
+        set is enumerated eagerly, through the keyed pathset cache when the
+        spec's engine cache is on, so routing errors
+        (:class:`~repro.exceptions.PathExplosionError`, a placement with no
+        measurement path) surface here.  Every analysis of the result is
+        therefore the one a from-scratch build of the same spec reports.
+        The cache keys on graph adjacency order, so a replayed flap that
+        returns to an earlier state reuses that state's path set and the
+        signature engines memoised on it.
 
         The node universe is fixed: delta links must connect existing nodes
         and monitors must name existing nodes.  Removing a link that an SRLG
@@ -256,8 +257,6 @@ class Scenario:
         from dataclasses import replace
 
         from repro.api.spec import DeltaSpec, UniverseSpec
-        from repro.engine.cache import normalize_limits, pathset_cache
-        from repro.routing.paths import PathSet, PathSetDelta
 
         if isinstance(delta, dict):
             delta = DeltaSpec.from_dict(delta)
@@ -339,36 +338,7 @@ class Scenario:
             label=label,
         )
         evolved = Scenario(new_spec)
-
-        path_delta = PathSetDelta(
-            add_links=delta.add_links,
-            remove_links=delta.remove_links,
-            add_inputs=delta.add_inputs,
-            remove_inputs=delta.remove_inputs,
-            add_outputs=delta.add_outputs,
-            remove_outputs=delta.remove_outputs,
-        )
-        routing = self.spec.routing
-
-        def build() -> PathSet:
-            kwargs: Dict[str, Any] = {}
-            if routing.cutoff is not None:
-                kwargs["cutoff"] = routing.cutoff
-            if routing.max_paths is not None:
-                kwargs["max_paths"] = routing.max_paths
-            return self.pathset.apply_delta(
-                evolved.graph, evolved.placement, self.mechanism, path_delta,
-                **kwargs,
-            )
-
-        if self.spec.engine.cache:
-            self._apply_cache_maxsize()
-            limits = normalize_limits(routing.cutoff, routing.max_paths)
-            evolved._pathset = pathset_cache().get_or_evolve(
-                self.pathset, (delta.fingerprint(), limits), build
-            )
-        else:
-            evolved._pathset = build()
+        evolved.pathset  # routing errors surface at evolve time
         return evolved
 
     # -- analyses ------------------------------------------------------------

@@ -657,8 +657,8 @@ class DeltaSpec:
         )
 
     def fingerprint(self) -> Tuple[Any, ...]:
-        """A hashable content key (order-insensitive, label-excluded) used
-        by the evolve-keyed :class:`~repro.engine.cache.PathSetCache`."""
+        """A hashable content key (order-insensitive, label-excluded): two
+        deltas with equal fingerprints make the same edit."""
         groups: Optional[Tuple[Tuple[str, str], ...]] = None
         if self.srlg_groups is not None:
             groups = tuple(

@@ -1,13 +1,17 @@
 """Keyed cache over path-set enumeration (and, transitively, signatures).
 
-Enumerating ``P(G|χ)`` is by far the most expensive step of every experiment
-row — ``networkx.all_simple_paths`` over all monitor pairs — and the table
-drivers routinely revisit the same ``(graph, placement, mechanism)`` triple
-(both dimension rules on the same network, repeated µ_α levels, ablation
-variants sharing a baseline).  :class:`PathSetCache` memoises the enumerated
+Enumerating ``P(G|χ)`` is the most expensive step of compiling a scenario,
+and callers routinely revisit the same ``(graph, placement, mechanism)``
+triple: both dimension rules on the same network, repeated µ_α levels,
+ablation variants sharing a baseline, and churn replays —
+:meth:`Scenario.evolve <repro.api.scenario.Scenario.evolve>` builds every
+post-delta scenario through this cache, so a flap that returns to an earlier
+state hits.  :class:`PathSetCache` memoises the enumerated
 :class:`~repro.routing.paths.PathSet` under a *content* key — graph
-directedness, node set, edge set, placement, mechanism and the enumeration
-limits — so mutating or rebuilding an equal graph still hits.
+directedness and adjacency lists (:func:`graph_fingerprint`), placement,
+mechanism and the enumeration limits — so rebuilding an equal graph still
+hits.  The key holds adjacency *order*, not just the edge set, because the
+enumerated path order follows it.
 
 Because the cached object is the same :class:`PathSet` instance, the
 signature engines memoised on it (:meth:`PathSet.engine`) are reused too: a
@@ -31,7 +35,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 from repro._typing import AnyGraph
 from repro.monitors.placement import MonitorPlacement
@@ -70,17 +74,22 @@ class CacheStats:
 
 
 def graph_fingerprint(graph: AnyGraph) -> Hashable:
-    """A hashable content key for a graph: directedness, nodes and edges.
+    """A hashable content key for a graph: directedness plus, for every node
+    in ``repr`` order, its neighbours in ``graph.adj`` order.
 
-    Undirected edges are canonicalised as frozensets so ``(u, v)`` and
-    ``(v, u)`` fingerprint identically; a self-loop becomes the singleton
-    frozenset.  Equal-content graphs — even distinct objects — share a key.
+    That is exactly what path enumeration consumes (see
+    :class:`~repro.routing.paths._IndexedGraph`): the enumerated path order
+    follows adjacency order, so two graphs with equal edge sets inserted in
+    different orders must not share an entry.  Independently built graphs
+    with the same adjacency lists — distinct objects, or a flap that removes
+    and re-adds a link along the same spec round trip — still share a key.
     """
-    if graph.is_directed():
-        edges: Hashable = frozenset(graph.edges())
-    else:
-        edges = frozenset(frozenset(edge) for edge in graph.edges())
-    return (graph.is_directed(), frozenset(graph.nodes()), edges)
+    adjacency = graph.adj
+    nodes = sorted(graph.nodes, key=repr)
+    return (
+        bool(graph.is_directed()),
+        tuple((node, tuple(adjacency[node])) for node in nodes),
+    )
 
 
 def normalize_limits(
@@ -116,11 +125,10 @@ class PathSetCache:
 
     Thread-safe: an internal lock protects the entry table and the counters,
     so concurrent lookups from a service's async handlers and worker threads
-    keep ``hits + misses == lookups`` exact.  The enumeration (or evolve
-    build) itself runs *outside* the lock — two threads racing on the same
-    cold key may both enumerate, but only the first insert wins and both
-    callers receive the same cached instance, so the engines memoised on it
-    stay shared.
+    keep ``hits + misses == lookups`` exact.  The enumeration itself runs
+    *outside* the lock — two threads racing on the same cold key may both
+    enumerate, but only the first insert wins and both callers receive the
+    same cached instance, so the engines memoised on it stay shared.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_MAXSIZE) -> None:
@@ -184,34 +192,6 @@ class PathSetCache:
                 return cached
             self.misses += 1
         pathset = enumerate_paths(graph, placement, mechanism, cutoff, max_paths)
-        return self._insert(key, pathset)
-
-    def get_or_evolve(
-        self,
-        parent: PathSet,
-        delta_fingerprint: Hashable,
-        build: "Callable[[], PathSet]",
-    ) -> PathSet:
-        """The cached *evolved* path set of ``(parent, delta)``.
-
-        Evolved path sets are keyed by (parent content fingerprint, delta
-        fingerprint) rather than by enumeration inputs: the parent's
-        fingerprint covers everything its own key covered (it is a digest of
-        the enumerated content), so chains of deltas hit the cache — a
-        replayed flap sequence pays for each distinct (state, delta) pair
-        once.  Entries share the LRU bound and counters with the enumeration
-        entries; a hit returns the same :class:`PathSet` instance, so the
-        engines memoised on it are reused too.
-        """
-        key = ("evolve", parent.fingerprint(), delta_fingerprint)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return cached
-            self.misses += 1
-        pathset = build()
         return self._insert(key, pathset)
 
     def _insert(self, key: Hashable, pathset: PathSet) -> PathSet:

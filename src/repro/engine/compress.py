@@ -65,10 +65,8 @@ CLI runner (``--no-compress``) and parity tests can scope the raw behaviour.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import warnings
 from dataclasses import dataclass
-from dataclasses import field as dataclasses_field
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -161,14 +159,6 @@ class CompressionPlan:
 
     n_original: int
     members: Tuple[Tuple[int, ...], ...]
-    #: Per-class touch key — the ascending element positions every member
-    #: column touches — retained (compare-excluded) by
-    #: :func:`compress_universe` so :meth:`patch` can match delta-added
-    #: columns against existing classes without re-transposing the matrix.
-    #: ``None`` for hand-built plans, which then cannot be patched.
-    touch_keys: Optional[Tuple[Tuple[int, ...], ...]] = dataclasses_field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def n_compressed(self) -> int:
@@ -284,72 +274,6 @@ class CompressionPlan:
             return None
         return folded
 
-    # -- incremental patching ------------------------------------------------
-    def patch(
-        self,
-        survivors: Mapping[int, int],
-        added: Sequence[Tuple[int, Tuple[int, ...]]],
-        n_original: int,
-        element_remap: Optional[Mapping[int, int]] = None,
-    ) -> "CompressionPlan":
-        """A plan for the post-delta universe, equal to a fresh transpose.
-
-        ``survivors`` maps surviving original columns to their post-delta
-        positions, ``added`` lists ``(new column, ascending touch key in the
-        new element order)`` for columns absent from this plan, and
-        ``element_remap`` translates this plan's element positions into the
-        new order when the element list itself changed (``None`` =
-        identical; the remap must be monotonic, which repr-sorted element
-        universes guarantee).  Only the affected columns are touched — no
-        re-transpose — yet the result is *equal* to
-        :func:`compress_universe` over the post-delta matrix: surviving
-        columns keep their touch keys (a surviving path's touch set cannot
-        change: it avoids removed elements and cannot traverse added ones),
-        added columns join the class with the same key or found their own,
-        all-zero columns drop, and classes are re-sorted by smallest member
-        — exactly the fresh first-appearance order.
-
-        Raises :class:`~repro.exceptions.IdentifiabilityError` when this
-        plan carries no touch keys, or when a surviving column references a
-        vanished element (which contradicts ``survivors`` and signals a
-        caller bug); callers fall back to a fresh build.
-        """
-        if self.touch_keys is None:
-            raise IdentifiabilityError(
-                "plan carries no touch keys; rebuild via compress_universe"
-            )
-        buckets: Dict[Tuple[int, ...], List[int]] = {}
-        for old_key, group in zip(self.touch_keys, self.members):
-            new_members = [
-                new_column
-                for column in group
-                if (new_column := survivors.get(column)) is not None
-            ]
-            if not new_members:
-                continue
-            if element_remap is None:
-                new_key = old_key
-            else:
-                try:
-                    new_key = tuple(element_remap[p] for p in old_key)
-                except KeyError as exc:
-                    raise IdentifiabilityError(
-                        "a surviving column touches a removed element"
-                    ) from exc
-            buckets.setdefault(new_key, []).extend(new_members)
-        for new_column, key in added:
-            if not key:
-                continue  # an all-zero column constrains nothing; drop it
-            buckets.setdefault(tuple(key), []).append(new_column)
-        entries = sorted(
-            (tuple(sorted(group)), key) for key, group in buckets.items()
-        )
-        return CompressionPlan(
-            n_original=n_original,
-            members=tuple(group for group, _ in entries),
-            touch_keys=tuple(key for _, key in entries),
-        )
-
     def describe(self) -> str:
         """One-line summary used by benchmarks and ``SignatureEngine.describe``."""
         dropped = self.n_original - sum(self.multiplicity)
@@ -420,9 +344,6 @@ class ColumnClasses:
         plan = CompressionPlan(
             n_original=self.n_paths,
             members=tuple(tuple(group) for group in groups.values()),
-            touch_keys=tuple(
-                tuple(itertools.compress(range(n_elements), key)) for key in groups
-            ),
         )
         rows = {
             node: mask_from_bytes(class_matrix[position::n_elements])

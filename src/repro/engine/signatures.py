@@ -172,7 +172,6 @@ from repro.resilience.budget import (
     SharedBudgetState,
     resolve_budget,
 )
-from repro.utils.bitset import mask_from_indices
 
 # -- the search_jobs policy ---------------------------------------------------
 
@@ -1290,107 +1289,6 @@ class SignatureEngine:
         return cls(
             universe.elements, universe.masks, universe.n_paths, backend, compress
         )
-
-    @classmethod
-    def from_delta(
-        cls,
-        parent: "SignatureEngine",
-        elements: Sequence[Node],
-        masks: Mapping[Node, int],
-        n_paths: int,
-        backend: BackendSpec = None,
-        *,
-        survivors: Mapping[int, int],
-        added: Sequence[Tuple[int, Tuple[int, ...]]],
-        dirty: Iterable[Node],
-        element_remap: Optional[Mapping[int, int]] = None,
-    ) -> "SignatureEngine":
-        """Build the post-delta engine by patching ``parent`` instead of
-        re-transposing and re-interning the whole universe.
-
-        ``elements``/``masks``/``n_paths`` describe the **post-delta**
-        universe; ``survivors`` maps surviving original path columns to their
-        new positions, ``added`` lists the delta-added columns with their
-        touch keys (see :meth:`CompressionPlan.patch
-        <repro.engine.compress.CompressionPlan.patch>`), ``dirty`` names the
-        elements whose rows a removed or added column touched, and
-        ``element_remap`` translates parent element positions when the
-        element list changed.
-
-        Because the patched plan equals a fresh
-        :func:`~repro.engine.compress.compress_universe` plan, every *clean*
-        row — an element no removed or added column touches — equals its
-        parent row up to the class-index remap induced by the patch, so it
-        is translated bit-by-bit from the parent's packed signature (a walk
-        over the compressed width, typically several times narrower than the
-        original) instead of re-compressing its full mask.  Dirty rows are
-        re-interned from their post-delta masks.  The result is structurally
-        identical to ``SignatureEngine(elements, masks, n_paths, backend,
-        True)``: same plan, same backend choice, same packed rows and keys.
-
-        Raises :class:`~repro.exceptions.IdentifiabilityError` when the
-        incremental route is unavailable (parent uncompressed, un-patchable
-        plan, identity patch result, or a backend mismatch); callers fall
-        back to the full constructor.
-        """
-        parent_plan = parent.compression
-        if parent_plan is None:
-            raise IdentifiabilityError(
-                "parent engine is uncompressed; build the engine fresh"
-            )
-        plan = parent_plan.patch(
-            survivors, added, n_paths, element_remap=element_remap
-        )
-        if plan.is_identity:
-            # A fresh build would run uncompressed here; mirror it by bailing.
-            raise IdentifiabilityError(
-                "patched plan is the identity; build the engine fresh"
-            )
-        new_class_of = plan.class_of
-        class_remap: Dict[int, int] = {}
-        for old_class, group in enumerate(parent_plan.members):
-            for column in group:
-                new_column = survivors.get(column)
-                if new_column is not None:
-                    class_remap[old_class] = new_class_of[new_column]
-                    break
-            # A class whose columns were all removed stays unmapped: any row
-            # containing it was touched by a removed column, hence dirty.
-
-        engine = cls.__new__(cls)
-        engine.nodes = tuple(elements)
-        engine.n_paths = n_paths
-        engine.compression = plan
-        engine.backend = resolve_backend(backend, plan.n_compressed)
-        pack = engine.backend.pack
-        key = engine.backend.key
-        parent_signatures = parent._signatures
-        parent_bits = parent.backend.bits
-        compress_mask = plan.compress_mask
-        dirty_set = set(dirty)
-        signatures: Dict[Node, Any] = {}
-        keys: Dict[Node, Any] = {}
-        for element in engine.nodes:
-            if element in dirty_set or element not in parent_signatures:
-                row = compress_mask(masks[element])
-            else:
-                try:
-                    row = mask_from_indices(
-                        [
-                            class_remap[bit]
-                            for bit in parent_bits(parent_signatures[element])
-                        ]
-                    )
-                except KeyError as exc:  # pragma: no cover - delta-layer bug guard
-                    raise IdentifiabilityError(
-                        "clean row references a fully-removed class"
-                    ) from exc
-            signature = pack(row)
-            signatures[element] = signature
-            keys[element] = key(signature)
-        engine._signatures = signatures
-        engine._keys = keys
-        return engine
 
     # -- signature accessors -------------------------------------------------
     def signature(self, node: Node):

@@ -43,7 +43,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.api.scenario import Scenario
@@ -401,11 +401,12 @@ def run_churn_sections(
 ) -> List[Section]:
     """Replay a delta sequence over a base scenario, reporting µ over time.
 
-    Each step evolves the previous scenario (:meth:`Scenario.evolve`, so
-    untouched paths, compression classes and signature rows are reused, and
-    repeated transitions hit the evolve-keyed cache).  With ``verify=True``
+    Each step evolves the previous scenario (:meth:`Scenario.evolve`: the
+    post-delta spec, built through the pathset cache, so a flap back to an
+    earlier state reuses its path set and engines).  With ``verify=True``
     every evolved step is additionally rebuilt *from scratch* from its own
-    serialised spec and the two µ/measurement reports are required to be
+    serialised spec, with the pathset cache off so the rebuild enumerates
+    its own paths, and the two µ/measurement reports are required to be
     bit-identical — an :class:`~repro.exceptions.ExperimentError` names the
     first diverging step otherwise.
     """
@@ -449,7 +450,10 @@ def run_churn_sections(
         mu = current.mu()
         verified: Optional[bool] = None
         if verify:
-            rebuilt = Scenario(ScenarioSpec.from_dict(current.spec.to_dict()))
+            rebuilt_spec = ScenarioSpec.from_dict(current.spec.to_dict())
+            rebuilt = Scenario(
+                rebuilt_spec.with_engine(replace(rebuilt_spec.engine, cache=False))
+            )
             if (
                 mu.to_dict() != rebuilt.mu().to_dict()
                 or current.measurement().to_dict()
@@ -537,7 +541,10 @@ def _load_spec_file(path: str) -> List[ScenarioSpec]:
             document = handle.read()
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path!r}: {exc}") from exc
-    return list(load_spec_batch(document))
+    try:
+        return list(load_spec_batch(document))
+    except SpecError as exc:
+        raise SpecError(f"spec file {path!r}: {exc}") from exc
 
 
 def run_spec_files(
@@ -636,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a dynamic-topology delta sequence instead of the paper "
         'tables: FILE is a JSON {"base": <ScenarioSpec>, "deltas": '
         '[<DeltaSpec>, ...]} document; each step evolves the previous '
-        "scenario incrementally (Scenario.evolve) and the output reports µ "
+        "scenario (Scenario.evolve) and the output reports µ "
         "over time.  Mutually exclusive with --spec",
     )
     parser.add_argument(
@@ -948,6 +955,10 @@ def main(argv: List[str] | None = None) -> int:
                 print(cache_stats(), file=sys.stderr)
             if args.search_stats:
                 print(search_counters(), file=sys.stderr)
+    except SpecError as exc:
+        # A --spec/--churn document that cannot be read or parsed, or a
+        # delta that does not apply: bad input, reported like a bad flag.
+        parser.error(str(exc))
     except KeyboardInterrupt:
         # The pool shut down (futures cancelled) on the way out; every
         # journaled trial is already durable, so a --checkpoint rerun

@@ -22,14 +22,19 @@ adjacency list in ``graph.adj`` insertion order; on-path and target flags
 are ``bytearray`` rows, and the "some target is still off the path" prune is
 a count of the targets on the path.  The kernel serves :func:`enumerate_paths`
 (label tuples plus node intervals), :func:`count_paths` (counting only) and
-the scoped searches of :meth:`PathSet.apply_delta` (:func:`_simple_paths`
-with a forbidden set, :func:`_paths_through_edge`, :func:`_monitor_cycles`).
+the monitor-anchored cycles of the CAP/CAP⁻ closed family
+(:func:`_monitor_cycles`).
 
 The kernel emits a path before descending past its last node and walks the
 adjacency lists in order, so within one source paths come out in
-lexicographic order of their adjacency-index vectors.  That emission-order
-invariant lives in :func:`_dfs`; :meth:`PathSet.apply_delta` sorts its merged
-survivors and additions by the same vectors to reproduce from-scratch order.
+lexicographic order of their adjacency-index vectors.  Path order therefore
+follows the graph's adjacency order, not just its edge set: two graphs with
+equal edges inserted in different orders enumerate the same paths in
+different orders, and :class:`~repro.engine.cache.PathSetCache` keys on
+adjacency order for that reason.  A topology delta is never patched into an
+existing path set — :meth:`Scenario.evolve
+<repro.api.scenario.Scenario.evolve>` derives the post-delta spec and
+enumerates it through the cache.
 
 The node masks are built from *prefix intervals*: in depth-first emission
 order, the paths through a node on the DFS stack are one contiguous index
@@ -62,13 +67,11 @@ Enumeration per mechanism
 
 from __future__ import annotations
 
-import hashlib
 import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -77,7 +80,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -110,67 +112,6 @@ DEFAULT_CUTOFF: Optional[int] = None
 
 #: Hard guard against path explosion; the paper itself stops at ~5e6 paths.
 DEFAULT_MAX_PATHS = 5_000_000
-
-
-@dataclass(frozen=True)
-class PathSetDelta:
-    """A routing-level topology/placement delta for :meth:`PathSet.apply_delta`.
-
-    All node values are the *decoded* graph nodes (the same objects the graph
-    holds); links are ``(u, v)`` endpoint pairs in either orientation for
-    undirected topologies.  The node universe itself is fixed — adding or
-    removing nodes requires a fresh enumeration.
-    """
-
-    add_links: Tuple[Tuple[Node, Node], ...] = ()
-    remove_links: Tuple[Tuple[Node, Node], ...] = ()
-    add_inputs: Tuple[Node, ...] = ()
-    remove_inputs: Tuple[Node, ...] = ()
-    add_outputs: Tuple[Node, ...] = ()
-    remove_outputs: Tuple[Node, ...] = ()
-
-    def is_noop(self) -> bool:
-        """True when the delta changes nothing."""
-        return not (
-            self.add_links
-            or self.remove_links
-            or self.add_inputs
-            or self.remove_inputs
-            or self.add_outputs
-            or self.remove_outputs
-        )
-
-
-@dataclass(frozen=True)
-class PathEvolution:
-    """How an evolved :class:`PathSet` relates to its parent.
-
-    Stashed (compare-excluded) on the path sets :meth:`PathSet.apply_delta`
-    returns, so downstream layers — :meth:`PathSet.engine`'s dirty-row
-    re-interning, the evolve-keyed :class:`~repro.engine.cache.PathSetCache`
-    entries — can tell *what changed* without re-deriving it.
-
-    Attributes
-    ----------
-    parent:
-        The pre-delta path set.
-    survivors:
-        ``old path index -> new path index`` for every path present in both
-        families (positions change because the evolved family is emitted in
-        canonical from-scratch order).
-    added:
-        New-family indices of paths absent from the parent, ascending.
-    removed:
-        Parent indices of paths absent from the new family, ascending.
-    links_changed:
-        Whether the link universe itself changed (links added or removed).
-    """
-
-    parent: "PathSet"
-    survivors: Mapping[int, int]
-    added: Tuple[int, ...]
-    removed: Tuple[int, ...]
-    links_changed: bool
 
 
 @dataclass(frozen=True)
@@ -494,12 +435,6 @@ class PathSet:
         key = (universe.fingerprint, name, bool(compress))
         cached = self._engines.get(key)
         if cached is None:
-            # An evolved path set first tries to patch its parent's engine
-            # for the same (universe, backend, compression) — re-interning
-            # only the rows the delta dirtied — and falls back to a full
-            # build when the parent has no matching engine to patch.
-            cached = self._engine_from_evolution(universe, name, bool(compress))
-        if cached is None:
             cached = SignatureEngine(
                 elements, masks, len(self.paths), name, compress
             )
@@ -512,132 +447,6 @@ class PathSet:
                 (universe.fingerprint, cached.backend.name, bool(compress)), cached
             )
         return cached
-
-    # -- delta/evolution plumbing -------------------------------------------
-    @property
-    def evolution(self) -> Optional[PathEvolution]:
-        """The :class:`PathEvolution` linking this path set to the parent it
-        was evolved from by :meth:`apply_delta` (``None`` for fresh sets)."""
-        return getattr(self, "_evolution", None)
-
-    def _engine_from_evolution(
-        self, universe: FailureUniverse, name: object, compress: bool
-    ) -> Optional["SignatureEngine"]:
-        """Patch the parent's engine for ``universe`` instead of building one.
-
-        Returns ``None`` whenever the incremental route is unavailable — no
-        evolution record, compression off, no matching parent engine, or a
-        patched plan that degenerates — so :meth:`engine` can fall back to
-        the full construction.  When it succeeds, the result is structurally
-        identical to a fresh :class:`SignatureEngine` (same plan, same packed
-        rows, same keys): only rows whose elements the delta dirtied are
-        re-interned from their masks, every other row is translated from the
-        parent's packed signature by a class-index remap.
-        """
-        evolution = self.evolution
-        if evolution is None or not compress:
-            return None
-        parent = evolution.parent
-        parent_engine = parent._engines.get((universe.fingerprint, name, compress))
-        if parent_engine is None or parent_engine.compression is None:
-            return None
-        touch_inputs = self._delta_touch_inputs(evolution, universe, parent_engine)
-        if touch_inputs is None:
-            return None
-        added_touch, dirty, element_remap = touch_inputs
-        from repro.engine.signatures import SignatureEngine
-        from repro.exceptions import IdentifiabilityError
-
-        try:
-            return SignatureEngine.from_delta(
-                parent_engine,
-                universe.elements,
-                universe.masks,
-                len(self.paths),
-                name,
-                survivors=evolution.survivors,
-                added=added_touch,
-                dirty=dirty,
-                element_remap=element_remap,
-            )
-        except IdentifiabilityError:
-            return None
-
-    def _delta_touch_inputs(
-        self,
-        evolution: PathEvolution,
-        universe: FailureUniverse,
-        parent_engine: "SignatureEngine",
-    ) -> Optional[Tuple[List[Tuple[int, Tuple[int, ...]]], Set[Node], Optional[Dict[int, int]]]]:
-        """The universe-specific ingredients of an incremental re-intern.
-
-        Returns ``(added_touch, dirty, element_remap)``: for every added
-        path, its ascending element-position touch key in the *new* element
-        order; the set of (new-universe) elements touched by any removed or
-        added path, whose rows must be re-interned; and the old→new element
-        position remap when the element list itself changed (``None`` when
-        identical).  ``None`` as a whole means this universe kind has no
-        incremental route.
-        """
-        kind = universe.kind
-        position = {element: i for i, element in enumerate(universe.elements)}
-        directed = bool(self.directed)
-        if kind == "node":
-
-            def elements_of(path: Path) -> Set[Node]:
-                touched = path[:-1] if path[0] == path[-1] else path
-                return set(touched)
-
-        elif kind == "link":
-
-            def elements_of(path: Path) -> Set[Node]:
-                return {
-                    canonical_link(u, v, directed)
-                    for u, v in zip(path, path[1:])
-                    if u != v
-                }
-
-        elif kind == "srlg":
-            membership: Dict[Link, Tuple[str, ...]] = {}
-            for group_name, members in universe.groups or ():
-                for link in members:
-                    membership[link] = membership.get(link, ()) + (group_name,)
-
-            def elements_of(path: Path) -> Set[Node]:
-                groups: Set[Node] = set()
-                for u, v in zip(path, path[1:]):
-                    if u != v:
-                        groups.update(
-                            membership.get(canonical_link(u, v, directed), ())
-                        )
-                return groups
-
-        else:  # pragma: no cover - future universe kinds opt in explicitly
-            return None
-
-        added_touch: List[Tuple[int, Tuple[int, ...]]] = []
-        for new_index in evolution.added:
-            elements = elements_of(self.paths[new_index])
-            added_touch.append(
-                (new_index, tuple(sorted(position[e] for e in elements)))
-            )
-        dirty: Set[Node] = set()
-        parent_paths = evolution.parent.paths
-        for old_index in evolution.removed:
-            for element in elements_of(parent_paths[old_index]):
-                if element in position:  # removed links vanish with their paths
-                    dirty.add(element)
-        for new_index in evolution.added:
-            dirty.update(elements_of(self.paths[new_index]))
-        old_elements = parent_engine.elements
-        element_remap: Optional[Dict[int, int]] = None
-        if tuple(old_elements) != tuple(universe.elements):
-            element_remap = {}
-            for old_position, element in enumerate(old_elements):
-                new_position = position.get(element)
-                if new_position is not None:
-                    element_remap[old_position] = new_position
-        return added_touch, dirty, element_remap
 
     def restrict_to_paths(self, indices: Sequence[int]) -> "PathSet":
         """A new :class:`PathSet` over the same universe with a subset of paths.
@@ -692,310 +501,6 @@ class PathSet:
             _link_masks=link_masks,
         )
 
-    def fingerprint(self) -> str:
-        """A stable content digest of this path set (memoised).
-
-        Covers directedness, the node universe, the link universe and the
-        ordered path family — everything that determines every downstream
-        artefact (masks, universes, engines).  Used by
-        :class:`~repro.engine.cache.PathSetCache` to key evolved path sets
-        by (parent fingerprint, delta fingerprint) so chains of deltas hit
-        the cache.
-        """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is not None:
-            return cached
-        digest = hashlib.sha256(
-            repr((bool(self.directed), self.nodes, self.links, self.paths)).encode()
-        ).hexdigest()
-        object.__setattr__(self, "_fingerprint", digest)
-        return digest
-
-    def apply_delta(
-        self,
-        graph: AnyGraph,
-        placement: MonitorPlacement,
-        mechanism: RoutingMechanism | str,
-        delta: PathSetDelta,
-        cutoff: Optional[int] = DEFAULT_CUTOFF,
-        max_paths: int = DEFAULT_MAX_PATHS,
-    ) -> "PathSet":
-        """Evolve this path set under a topology/placement delta.
-
-        ``graph`` and ``placement`` are the **post-delta** topology and
-        monitor placement (the caller applies the delta to its own graph;
-        this method only needs to know *what* changed).  The result is
-        bit-identical — paths, order, masks, link universe — to
-        ``enumerate_paths(graph, placement, mechanism, cutoff, max_paths)``,
-        but only the paths the delta can affect are re-enumerated:
-
-        * paths traversing a removed link, starting at a removed input or
-          ending at a removed output are dropped;
-        * new paths are found by three scoped searches — from each added
-          input to every output, from the kept inputs to the added outputs,
-          and through each added link via a two-segment composition
-          (prefix to the link's tail avoiding its head, the link itself,
-          then a suffix DFS forbidden from re-entering the prefix);
-        * the cycle/loop families (CAP/CAP⁻ only) are re-emitted by
-          :func:`_closed_family` — they are cheap, and the orientation kept
-          for an undirected cycle depends on the post-delta adjacency order;
-        * every untouched path *survives* and its mask columns are remapped
-          instead of re-scanned.
-
-        Exactness of the ordering relies on the emission-order invariant of
-        the kernel :func:`_dfs`: within one source, paths are emitted in
-        lexicographic order of their adjacency-index vectors (the DFS emits
-        before it descends and walks adjacency in insertion order), so
-        sorting the merged open family by (source rank, adjacency-index
-        vector over the post-delta graph) reproduces the from-scratch order
-        without re-running the full DFS.
-
-        The returned path set carries a :class:`PathEvolution` record
-        (``.evolution``) linking it to this parent, which
-        :meth:`engine` uses to patch the parent's signature engines instead
-        of re-interning every row.
-        """
-        mechanism = RoutingMechanism.parse(mechanism)
-        _check_limits(cutoff, max_paths)
-        directed = bool(graph.is_directed())
-        if bool(self.directed) != directed:
-            raise RoutingError(
-                "apply_delta cannot change graph directedness; re-enumerate"
-            )
-        if tuple(sorted(graph.nodes, key=repr)) != self.nodes:
-            raise RoutingError(
-                "apply_delta keeps the node universe fixed; node additions or "
-                "removals need a fresh enumeration"
-            )
-        placement.validate(graph)
-
-        removed_links = {
-            canonical_link(u, v, directed) for u, v in delta.remove_links
-        }
-        added_links = {canonical_link(u, v, directed) for u, v in delta.add_links}
-        old_links = set(self._links) if self._links is not None else set(self.links)
-        missing = removed_links - old_links
-        if missing:
-            raise RoutingError(
-                f"cannot remove links absent from the universe: {sorted(missing, key=repr)}"
-            )
-        clashing = added_links & old_links
-        if clashing:
-            raise RoutingError(
-                f"cannot add links already in the universe: {sorted(clashing, key=repr)}"
-            )
-        new_link_set = {canonical_link(u, v, directed) for u, v in graph.edges()}
-        if new_link_set != (old_links - removed_links) | added_links:
-            raise RoutingError(
-                "the supplied graph does not match the delta applied to this "
-                "path set's link universe"
-            )
-        removed_inputs = set(delta.remove_inputs)
-        added_inputs = set(delta.add_inputs)
-        removed_outputs = set(delta.remove_outputs)
-        added_outputs = set(delta.add_outputs)
-        if added_inputs - placement.inputs or removed_inputs & placement.inputs:
-            raise RoutingError(
-                "the supplied placement does not reflect the delta's input edits"
-            )
-        if added_outputs - placement.outputs or removed_outputs & placement.outputs:
-            raise RoutingError(
-                "the supplied placement does not reflect the delta's output edits"
-            )
-
-        # 1. Open-family survivors: old simple input→output paths that avoid
-        #    every removed link and keep both endpoints monitored.
-        survivors: List[Tuple[int, Path]] = []
-        old_closed_index: Dict[Path, int] = {}
-        for index, path in enumerate(self.paths):
-            if path[0] == path[-1]:
-                # Closed families are re-emitted below; identical tuples are
-                # matched back to their old columns as survivors.
-                old_closed_index[path] = index
-                continue
-            if path[0] in removed_inputs or path[-1] in removed_outputs:
-                continue
-            if removed_links and any(
-                canonical_link(u, v, directed) in removed_links
-                for u, v in zip(path, path[1:])
-            ):
-                continue
-            survivors.append((index, path))
-
-        # 2. Open-family additions: every post-delta path missing from the
-        #    old family starts at an added input, ends at an added output, or
-        #    traverses an added link (the old enumeration was exhaustive over
-        #    everything else).  The three searches overlap; the set dedups.
-        #    Each search emits distinct post-delta paths, so one that passes
-        #    max_paths on its own already proves the explosion.
-        indexed = _IndexedGraph(graph, self.nodes)
-        additions: Set[Path] = set()
-        kept_inputs = placement.inputs - added_inputs
-        try:
-            for source in added_inputs:
-                additions.update(
-                    _simple_paths(
-                        indexed, source, placement.outputs, cutoff, limit=max_paths
-                    )
-                )
-            if added_outputs:
-                for source in kept_inputs:
-                    additions.update(
-                        _simple_paths(
-                            indexed, source, added_outputs, cutoff, limit=max_paths
-                        )
-                    )
-            for tail, head in added_links:
-                if tail == head:
-                    continue  # a self-loop joins the universe but carries no path
-                orientations = (
-                    ((tail, head),) if directed else ((tail, head), (head, tail))
-                )
-                for a, b in orientations:
-                    for source in kept_inputs:
-                        additions.update(
-                            _paths_through_edge(
-                                indexed, source, placement.outputs, a, b, cutoff,
-                                max_paths,
-                            )
-                        )
-            if len(survivors) + len(additions) > max_paths:
-                raise _PathOverflow
-            # 3. Closed families (CAP/CAP⁻): re-emitted in canonical order —
-            #    surviving cycles are matched back to their old columns by
-            #    tuple identity below.
-            closed = _closed_family(
-                indexed,
-                placement,
-                mechanism,
-                cutoff,
-                max_paths - len(survivors) - len(additions),
-            )
-        except _PathOverflow:
-            raise _explosion(max_paths) from None
-
-        # 4. Order the merged open family exactly as a fresh enumeration
-        #    would: grouped by source in repr order, lexicographic in the
-        #    adjacency-index vector within one source.
-        adjacency = graph.adj
-        positions = {
-            u: {v: i for i, v in enumerate(adjacency[u])} for u in graph.nodes
-        }
-        source_rank = {
-            source: rank
-            for rank, source in enumerate(sorted(placement.inputs, key=repr))
-        }
-
-        def order_key(path: Path) -> List[int]:
-            u = path[0]
-            vector = [source_rank[u]]
-            for v in path[1:]:
-                vector.append(positions[u][v])
-                u = v
-            return vector
-
-        open_family: List[Tuple[List[int], Optional[int], Path]] = [
-            (order_key(path), index, path) for index, path in survivors
-        ]
-        open_family.extend((order_key(path), None, path) for path in additions)
-        open_family.sort(key=lambda item: item[0])
-
-        total = len(open_family) + len(closed)
-        if total == 0:
-            raise RoutingError(
-                "no measurement path exists for this placement under "
-                f"{mechanism.value}; identifiability would be undefined"
-            )
-
-        new_paths: List[Path] = [item[2] for item in open_family]
-        survivors_map: Dict[int, int] = {}
-        added_indices: List[int] = []
-        for new_index, (_, old_index, _path) in enumerate(open_family):
-            if old_index is None:
-                added_indices.append(new_index)
-            else:
-                survivors_map[old_index] = new_index
-        for offset, path in enumerate(closed):
-            new_index = len(new_paths)
-            new_paths.append(path)
-            old_index = old_closed_index.get(path)
-            if old_index is None:
-                added_indices.append(new_index)
-            else:
-                survivors_map[old_index] = new_index
-
-        # 5. Masks by column remap + scatter: surviving columns move to their
-        #    new positions, added paths scatter their touched elements.
-        node_extras: Dict[Node, List[int]] = {}
-        for new_index in added_indices:
-            path = new_paths[new_index]
-            touched = path[:-1] if path[0] == path[-1] else path
-            for node in touched:
-                node_extras.setdefault(node, []).append(new_index)
-        lookup = survivors_map.get
-
-        def _remap(mask: int, extra: Optional[List[int]]) -> int:
-            indices = [j for i in bit_indices(mask) if (j := lookup(i)) is not None]
-            if extra:
-                indices.extend(extra)
-            return mask_from_indices(indices)
-
-        node_masks = {
-            node: _remap(mask, node_extras.get(node))
-            for node, mask in self._node_masks.items()
-        }
-
-        # 6. The link universe changes only when links actually changed; the
-        #    memoised link masks are remapped (never re-derived) when the
-        #    parent had already paid for them.
-        links_changed = bool(removed_links or added_links)
-        if links_changed or self._links is None:
-            new_links: Tuple[Link, ...] = tuple(sorted(new_link_set, key=repr))
-        else:
-            new_links = self._links
-        link_masks: Optional[Dict[Link, int]] = None
-        if self._link_masks is not None:
-            link_extras: Dict[Link, List[int]] = {}
-            for new_index in added_indices:
-                path = new_paths[new_index]
-                for u, v in zip(path, path[1:]):
-                    if u != v:
-                        link_extras.setdefault(
-                            canonical_link(u, v, directed), []
-                        ).append(new_index)
-            old_link_masks = self._link_masks
-            link_masks = {}
-            for link in new_links:
-                old_mask = old_link_masks.get(link)
-                if old_mask is None:
-                    link_masks[link] = mask_from_indices(link_extras.get(link, []))
-                else:
-                    link_masks[link] = _remap(old_mask, link_extras.get(link))
-
-        removed_indices = tuple(
-            index for index in range(len(self.paths)) if index not in survivors_map
-        )
-        result = PathSet(
-            self.nodes,
-            tuple(new_paths),
-            node_masks,
-            directed=directed,
-            _links=new_links,
-            _link_masks=link_masks,
-        )
-        object.__setattr__(
-            result,
-            "_evolution",
-            PathEvolution(
-                parent=self,
-                survivors=survivors_map,
-                added=tuple(added_indices),
-                removed=removed_indices,
-                links_changed=links_changed,
-            ),
-        )
-        return result
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (
@@ -1009,7 +514,7 @@ class _PathOverflow(Exception):
 
     Private: the entry points re-raise it as :class:`PathExplosionError`
     naming the caller's ``max_paths`` (the kernel only sees the local bound
-    of one scoped search).
+    of one search, such as one monitor-cycle DFS).
     """
 
 
@@ -1093,9 +598,8 @@ def _dfs(
     the last one; emitting index ``limit`` or beyond raises
     :class:`_PathOverflow` before the path is built.  ``is_target`` and
     ``on_path`` are 0/1 byte rows over node indices: the caller clears the
-    source (and any node it forbids) from the targets, counts them in
-    ``n_targets``, and sets forbidden nodes in ``on_path``; both rows are
-    restored on return.  A path holds at most ``max_nodes`` nodes, not
+    source from the targets, counts them in ``n_targets`` and passes an
+    all-zero ``on_path``; both rows are restored on return.  A path holds at most ``max_nodes`` nodes, not
     counting ``prefix``, a label tuple prepended to every emitted path.
 
     With ``paths`` the label tuples are appended to it; with ``spans`` the
@@ -1109,8 +613,10 @@ def _dfs(
     the path (an O(1) count of targets on the path), and walks ``adj`` in
     order, emitting a path before descending past its last node — so within
     one source, paths come out in lexicographic order of their
-    adjacency-index vectors.  :meth:`PathSet.apply_delta` relies on that
-    invariant to merge scoped searches into from-scratch order.
+    adjacency-index vectors.  That order is the canonical path order of
+    :func:`enumerate_paths`; it depends on the adjacency order of the graph,
+    not only on its edge set, which is why the path-set cache keys on
+    adjacency order.
     """
     if n_targets < 1 or max_nodes < 2:
         return k
@@ -1170,7 +676,6 @@ def _simple_paths(
     source: Node,
     targets: Iterable[Node],
     cutoff: Optional[int],
-    forbidden: Iterable[Node] = (),
     prefix: Tuple[Node, ...] = (),
     limit: int = sys.maxsize,
 ) -> List[Path]:
@@ -1178,17 +683,13 @@ def _simple_paths(
     tuples in :func:`_dfs` emission order (``prefix`` prepended).
 
     Paths from a node to itself are excluded.  ``cutoff`` limits the path
-    length in *edges* (``None`` = unlimited).  ``forbidden`` nodes are never
-    visited and never count as targets; a forbidden source yields nothing.
-    At most ``limit`` paths are emitted before :class:`_PathOverflow`.
+    length in *edges* (``None`` = unlimited).  At most ``limit`` paths are
+    emitted before :class:`_PathOverflow`.
     """
     start = indexed.index.get(source)
     if start is None:
         raise RoutingError(f"source node {source!r} is not in the graph")
-    blocked = set(forbidden)
-    if source in blocked:
-        return []
-    is_target = indexed.flags(set(targets) - blocked - {source})
+    is_target = indexed.flags(set(targets) - {source})
     paths: List[Path] = []
     _dfs(
         indexed.adj,
@@ -1196,7 +697,7 @@ def _simple_paths(
         start,
         is_target,
         is_target.count(1),
-        indexed.flags(blocked),
+        bytearray(len(indexed.labels)),
         _max_nodes(indexed, cutoff),
         0,
         limit,
@@ -1204,52 +705,6 @@ def _simple_paths(
         prefix=prefix,
     )
     return paths
-
-
-def _paths_through_edge(
-    indexed: _IndexedGraph,
-    source: Node,
-    targets: AbstractSet[Node],
-    tail: Node,
-    head: Node,
-    cutoff: Optional[int],
-    limit: int = sys.maxsize,
-) -> List[Path]:
-    """Simple ``source``→target paths traversing the edge ``tail→head``.
-
-    The delta layer's scoped search for paths through one *added* link: every
-    such path decomposes uniquely into a simple prefix from ``source`` to
-    ``tail`` that avoids ``head`` (the path visits ``head`` only after the
-    edge), the edge itself, and a simple suffix from ``head`` to a target
-    avoiding every prefix node — so enumerating (prefix, suffix) pairs with
-    the forbidden-set DFS finds each qualifying path exactly once.  For
-    undirected graphs the caller invokes this twice, once per orientation.
-    At most ``limit`` paths are returned before :class:`_PathOverflow`.
-    """
-    if source == head:
-        return []  # the edge would re-enter the source: never simple
-    if cutoff is not None and cutoff < 1:
-        return []
-    if source == tail:
-        prefixes: List[Path] = [(tail,)]
-    else:
-        prefix_cutoff = None if cutoff is None else cutoff - 1
-        prefixes = _simple_paths(indexed, source, (tail,), prefix_cutoff, (head,))
-    found: List[Path] = []
-    for prefix in prefixes:
-        if head in targets:
-            if len(found) >= limit:
-                raise _PathOverflow
-            found.append(prefix + (head,))
-        remaining = None if cutoff is None else cutoff - len(prefix)
-        if remaining is not None and remaining < 1:
-            continue
-        found.extend(
-            _simple_paths(
-                indexed, head, targets, remaining, prefix, prefix, limit - len(found)
-            )
-        )
-    return found
 
 
 def _monitor_cycles(

@@ -18,8 +18,9 @@ Endpoints
     Body: ``{"base": <ScenarioSpec>, "deltas": [<DeltaSpec>, ...]}`` — the
     same document ``repro-experiments --churn`` reads.  The response is a
     chunked ndjson stream: one line per step (the runner's step-entry shape,
-    riding :meth:`Scenario.evolve <repro.api.scenario.Scenario.evolve>` so
-    repeated transitions hit the evolve-keyed cache), then a summary line
+    riding :meth:`Scenario.evolve <repro.api.scenario.Scenario.evolve>`,
+    which builds each post-delta spec through the pathset cache, so a flap
+    back to an earlier state is a cache hit), then a summary line
     ``{"done": true, ...}``.
 
 ``GET /healthz``

@@ -17,10 +17,11 @@ backend and compression flag) are reused across requests too.
 
 This wraps, rather than replaces, the per-process caches underneath: the
 global :class:`~repro.engine.cache.PathSetCache` still deduplicates path
-sets by *content* (two different specs producing the same graph+placement
-share one path set), and evolve chains still hit its
-``(parent, delta)``-keyed entries.  The scenario cache adds the by-*spec*
-layer on top so a repeat request skips even the graph/placement rebuild.
+sets by *content* (two different specs producing the same graph adjacency
+and placement share one path set), which is also how churn replays reuse
+the path set of a state they return to.  The scenario cache adds the
+by-*spec* layer on top so a repeat request skips even the graph/placement
+rebuild.
 """
 
 from __future__ import annotations

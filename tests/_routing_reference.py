@@ -5,13 +5,12 @@ It walks networkx adjacency with node labels, carries the on-path set as a
 Python set and re-checks "some target still off the path" with a set
 comparison per descent.  Slow, but every step is visible, which is what an
 oracle is for: the tests compare the library's kernel against it for exact
-path order, every node and link mask, ``count_paths`` and the scoped
-searches of ``PathSet.apply_delta``.
+path order, every node and link mask and ``count_paths``.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro._typing import AnyGraph, Node, Path
 from repro.exceptions import PathExplosionError, RoutingError
@@ -25,7 +24,6 @@ def iter_simple_paths(
     source: Node,
     targets: Iterable[Node],
     cutoff: Optional[int],
-    forbidden: Optional[AbstractSet[Node]] = None,
 ) -> Iterator[Path]:
     """Yield all simple paths from ``source`` to any of ``targets``.
 
@@ -40,19 +38,9 @@ def iter_simple_paths(
     The traversal descends into a child only while some target lies outside
     the current path, matching the classic pruning of the networkx
     implementation; emission order is depth-first in adjacency order — i.e.
-    lexicographic in the path's adjacency-index vector, an invariant
-    ``PathSet.apply_delta`` relies on to merge incremental results into
-    from-scratch order.
-
-    ``forbidden`` excludes a node set from the traversal entirely (used by
-    the delta layer's two-segment composition); forbidden nodes are never
-    visited and never count as targets.
+    lexicographic in the path's adjacency-index vector.
     """
     target_set = {t for t in targets if t != source}
-    if forbidden:
-        if source in forbidden:
-            return
-        target_set -= set(forbidden)
     if not target_set:
         return
     if source not in graph:
@@ -62,10 +50,7 @@ def iter_simple_paths(
     if max_nodes < 2:
         return  # no room for even a 1-edge path (cutoff <= 0 / trivial graph)
     path: List[Node] = [source]
-    # Folding the forbidden set into the on-path set blocks both descent and
-    # emission; backtracking only ever pops appended path nodes, so the
-    # forbidden members stay put for the whole traversal.
-    on_path = {source} | set(forbidden) if forbidden else {source}
+    on_path = {source}
     stack: List[Iterator[Node]] = [iter(adjacency[source])]
     while stack:
         descended = False
@@ -83,48 +68,6 @@ def iter_simple_paths(
         if not descended:
             stack.pop()
             on_path.discard(path.pop())
-
-
-def paths_through_edge(
-    graph: AnyGraph,
-    source: Node,
-    targets: AbstractSet[Node],
-    tail: Node,
-    head: Node,
-    cutoff: Optional[int],
-) -> Iterator[Path]:
-    """Yield simple ``source``→target paths traversing the edge ``tail→head``.
-
-    The delta layer's scoped search for paths through one *added* link: every
-    such path decomposes uniquely into a simple prefix from ``source`` to
-    ``tail`` that avoids ``head`` (the path visits ``head`` only after the
-    edge), the edge itself, and a simple suffix from ``head`` to a target
-    avoiding every prefix node — so enumerating (prefix, suffix) pairs with
-    the forbidden-set DFS finds each qualifying path exactly once.  For
-    undirected graphs the caller invokes this twice, once per orientation.
-    """
-    if source == head:
-        return  # the edge would re-enter the source: never simple
-    if cutoff is not None and cutoff < 1:
-        return
-    if source == tail:
-        prefixes: Iterable[Path] = ((tail,),)
-    else:
-        prefix_cutoff = None if cutoff is None else cutoff - 1
-        prefixes = iter_simple_paths(
-            graph, source, {tail}, prefix_cutoff, forbidden={head}
-        )
-    for prefix in prefixes:
-        with_edge = prefix + (head,)
-        if head in targets:
-            yield with_edge
-        remaining = None if cutoff is None else cutoff - len(prefix)
-        if remaining is not None and remaining < 1:
-            continue
-        for suffix in iter_simple_paths(
-            graph, head, targets, remaining, forbidden=frozenset(prefix)
-        ):
-            yield prefix + suffix
 
 
 def monitor_cycles(

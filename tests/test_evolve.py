@@ -1,26 +1,25 @@
-"""Incremental scenarios: ``Scenario.evolve`` delta updates end to end.
+"""Dynamic scenarios: ``Scenario.evolve`` delta updates end to end.
 
-The load-bearing property of the PR-7 refactor is **bit-identical parity**:
-a scenario evolved through :meth:`Scenario.evolve` must be indistinguishable
-from building its post-delta spec from scratch — same path tuples in the
-same order, same links, same µ report (value, witness, ``searched_up_to``),
-same separability census and same localization campaign.  The matrix test
+The load-bearing property is **bit-identical parity**: a scenario evolved
+through :meth:`Scenario.evolve` must be indistinguishable from building its
+post-delta spec from scratch — same path tuples in the same order, same
+links, same µ report (value, witness, ``searched_up_to``), same
+separability census and same localization campaign.  The matrix test
 sweeps 20 seeds × 3 mechanisms × {node, link, srlg} over small random
 graphs; the engine tests additionally require the *internals* (compression
-plan, signature keys, backend choice) to match, so the incremental
-re-intern is structurally equal to a fresh build, not merely
-observationally.
+plan, signature keys, backend choice) to match a cache-free build.
 
-Satellites covered here: the eviction counter of the pathset cache, the
-``srlg:<groups.json>`` CLI universe, ``restrict_to_paths`` composed with an
-SRLG universe, the Hypothesis metamorphic inverse test (with committed
-regression cases), and the ``--churn`` replay driver.
+Also covered here: the pathset cache's adjacency-order key and eviction
+counter, the ``srlg:<groups.json>`` CLI universe, ``restrict_to_paths``
+composed with an SRLG universe, the Hypothesis metamorphic inverse test
+(with committed regression cases), and the ``--churn`` replay driver.
 """
 
 from __future__ import annotations
 
 import json
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -36,7 +35,12 @@ from repro.api.spec import (
     TopologySpec,
     UniverseSpec,
 )
-from repro.engine.cache import PathSetCache, clear_pathset_cache, pathset_cache
+from repro.engine.cache import (
+    PathSetCache,
+    cached_enumerate_paths,
+    clear_pathset_cache,
+    pathset_cache,
+)
 from repro.exceptions import (
     ExperimentError,
     IdentifiabilityError,
@@ -48,7 +52,9 @@ from repro.experiments.runner import (
     parse_universe_argument,
     run_churn_sections,
 )
-from repro.routing.paths import PathExplosionError
+from repro.monitors.placement import MonitorPlacement
+from repro.routing.paths import PathExplosionError, enumerate_paths
+from repro.topology.grids import undirected_grid
 from repro.utils.bitset import bit_indices
 
 MECHANISMS = ("CSP", "CAP", "CAP-")
@@ -190,7 +196,7 @@ def grid_base() -> Scenario:
 
 
 class TestEngineInternals:
-    """The incremental engine build is structurally equal to a fresh one."""
+    """The evolved engine is structurally equal to a fresh one."""
 
     def test_patched_plan_and_signatures_match_fresh(self, grid_base):
         evolved = grid_base.evolve(DeltaSpec(remove_links=(((1, 1), (1, 2)),)))
@@ -202,25 +208,6 @@ class TestEngineInternals:
         assert left._keys == right._keys
         assert left.nodes == right.nodes
         assert left.n_paths == right.n_paths
-
-    def test_delta_fast_path_is_taken(self, grid_base, monkeypatch):
-        from repro.engine.signatures import SignatureEngine
-
-        calls = []
-        original = SignatureEngine.from_delta.__func__
-
-        def counting(cls, *args, **kwargs):
-            calls.append(1)
-            return original(cls, *args, **kwargs)
-
-        monkeypatch.setattr(
-            SignatureEngine, "from_delta", classmethod(counting)
-        )
-        base = Scenario(ScenarioSpec.from_dict(grid_base.spec.to_dict()))
-        base.mu()  # build the parent engine first
-        evolved = base.evolve(DeltaSpec(add_links=(((1, 1), (2, 2)),)))
-        evolved.mu()
-        assert calls, "evolved engine was rebuilt from scratch, not patched"
 
     def test_evolve_without_cache_still_has_parity(self, grid_base):
         spec = grid_base.spec.with_engine(EngineConfig(cache=False))
@@ -256,24 +243,21 @@ class TestEvolveCache:
 
     def test_eviction_counter(self):
         cache = PathSetCache(maxsize=1)
-        cache.get_or_evolve(
-            Scenario(
-                ScenarioSpec(
-                    topology=TopologySpec("undirected_grid", {"n": 2}),
-                    placement=PlacementSpec("chi_corners"),
-                )
-            ).pathset,
-            ("d1",),
-            lambda: None,
+        small = Scenario(
+            ScenarioSpec(
+                topology=TopologySpec("undirected_grid", {"n": 2}),
+                placement=PlacementSpec("chi_corners"),
+            )
         )
+        cache.get_or_enumerate(small.graph, small.placement)
         assert cache.stats().evictions == 0
-        parent = Scenario(
+        larger = Scenario(
             ScenarioSpec(
                 topology=TopologySpec("undirected_grid", {"n": 3}),
                 placement=PlacementSpec("chi_corners"),
             )
-        ).pathset
-        cache.get_or_evolve(parent, ("d2",), lambda: None)
+        )
+        cache.get_or_enumerate(larger.graph, larger.placement)
         stats = cache.stats()
         assert stats.evictions == 1
         assert stats.size == 1
@@ -288,6 +272,63 @@ class TestEvolveCache:
             cache.record_external(hits=0, misses=0, evictions=-1)
         cache.clear()
         assert cache.stats().evictions == 0
+
+
+def _grid() -> nx.Graph:
+    return undirected_grid(3)
+
+
+def _grid_with_edge_reinserted() -> nx.Graph:
+    """The same edge set as :func:`_grid`, with one edge moved to the end of
+    both endpoints' adjacency lists."""
+    graph = undirected_grid(3)
+    graph.remove_edge((1, 1), (2, 1))
+    graph.add_edge((1, 1), (2, 1))
+    return graph
+
+
+def _corners() -> MonitorPlacement:
+    return MonitorPlacement.of(inputs={(1, 1)}, outputs={(3, 3), (2, 1)})
+
+
+class TestAdjacencyOrderKey:
+    """The pathset cache keys on adjacency order, which path order follows."""
+
+    @pytest.fixture(autouse=True)
+    def _pristine_cache(self):
+        clear_pathset_cache()
+        yield
+        clear_pathset_cache()
+
+    def test_reinserted_edge_changes_fresh_order(self):
+        first = enumerate_paths(_grid(), _corners()).paths
+        assert first != enumerate_paths(_grid_with_edge_reinserted(), _corners()).paths
+
+    def test_insertion_order_gets_its_own_entry(self):
+        cached_enumerate_paths(_grid(), _corners())
+        reinserted = _grid_with_edge_reinserted()
+        assert (
+            cached_enumerate_paths(reinserted, _corners()).paths
+            == enumerate_paths(reinserted, _corners()).paths
+        )
+
+    def test_identical_adjacency_order_shares_one_entry(self):
+        cache = PathSetCache()
+        cache.get_or_enumerate(_grid(), _corners())
+        cache.get_or_enumerate(_grid(), _corners())
+        assert cache.stats().hits == 1
+
+    def test_flap_chain_cycles_between_two_pathsets(self):
+        down = DeltaSpec(remove_links=(((1, 1), (1, 2)),))
+        up = down.inverse()
+        first_down = Scenario.from_components(_grid(), _corners()).evolve(down)
+        first_up = first_down.evolve(up)
+        second_down = first_up.evolve(down)
+        second_up = second_down.evolve(up)
+        assert [id(s.pathset) for s in (second_down, second_up)] == [
+            id(first_down.pathset),
+            id(first_up.pathset),
+        ]
 
 
 class TestRestrictWithSrlg:

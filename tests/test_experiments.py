@@ -6,6 +6,8 @@ harness runs the paper-sized versions.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.exceptions import ExperimentError
@@ -234,3 +236,71 @@ class TestRunner:
         )
         assert select_backend() == before
         assert "Ablation" in out.read_text()
+
+
+def _exit_message(argv, capsys):
+    """Run the CLI on bad input; return (exit code, last stderr line)."""
+    with pytest.raises(SystemExit) as excinfo:
+        runner.main(argv)
+    return excinfo.value.code, capsys.readouterr().err.strip().splitlines()[-1]
+
+
+_BASE = {"topology": {"name": "line", "params": {"n": 3}},
+         "placement": {"strategy": "chi_g", "params": {}}}
+
+
+class TestRunnerInputErrors:
+    """A bad --spec/--churn file is a one-line argparse error with exit 2."""
+
+    def test_truncated_churn_file(self, tmp_path, capsys):
+        path = tmp_path / "churn.json"
+        path.write_text('{"base": {')
+        assert _exit_message(["--churn", str(path)], capsys) == (
+            2,
+            f"repro-experiments: error: churn file {str(path)!r} is not valid "
+            "JSON: Expecting property name enclosed in double quotes: line 1 "
+            "column 11 (char 10)",
+        )
+
+    def test_missing_churn_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code, line = _exit_message(["--churn", str(path)], capsys)
+        assert (code, line.startswith("repro-experiments: error: cannot read")) == (
+            2,
+            True,
+        )
+
+    def test_churn_deltas_not_a_list(self, tmp_path, capsys):
+        path = tmp_path / "churn.json"
+        path.write_text(json.dumps({"base": _BASE, "deltas": {"label": "x"}}))
+        assert _exit_message(["--churn", str(path)], capsys) == (
+            2,
+            f"repro-experiments: error: churn file {str(path)!r} 'deltas' must "
+            "be a list",
+        )
+
+    def test_truncated_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text('{"topology": ')
+        assert _exit_message(["--spec", str(path)], capsys) == (
+            2,
+            f"repro-experiments: error: spec file {str(path)!r}: invalid spec "
+            "document: Expecting value: line 1 column 14 (char 13)",
+        )
+
+    def test_missing_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code, line = _exit_message(["--spec", str(path)], capsys)
+        assert (code, line.startswith("repro-experiments: error: cannot read")) == (
+            2,
+            True,
+        )
+
+    def test_spec_document_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text("42")
+        assert _exit_message(["--spec", str(path)], capsys) == (
+            2,
+            f"repro-experiments: error: spec file {str(path)!r}: scenario spec "
+            "must be a JSON object, got int",
+        )

@@ -5,8 +5,8 @@ Every comparison is exact: the same paths in the same order, the same node
 and link masks, and the same counts — over random small graphs (directed
 with cycles, undirected, with self-loops, int/tuple/str/mixed labels), with
 inputs overlapping outputs, under CSP, CAP⁻ and CAP and every small cutoff.
-The scoped searches of ``PathSet.apply_delta`` are checked directly, and the
-``max_paths`` boundary and the typed routing limits are pinned.
+The ``max_paths`` boundary (for enumeration, counting and
+``Scenario.evolve``) and the typed routing limits are pinned.
 """
 
 from __future__ import annotations
@@ -17,17 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _routing_reference as reference
+from repro.api.scenario import Scenario
+from repro.api.spec import DeltaSpec
 from repro.exceptions import PathExplosionError, RoutingError
 from repro.monitors.grid_placement import chi_g
 from repro.monitors.placement import MonitorPlacement
-from repro.routing.paths import (
-    PathSetDelta,
-    _IndexedGraph,
-    _paths_through_edge,
-    _simple_paths,
-    count_paths,
-    enumerate_paths,
-)
+from repro.routing.paths import count_paths, enumerate_paths
 from repro.topology.grids import directed_grid
 from repro.topology.lines import line_graph
 
@@ -98,41 +93,6 @@ class TestKernelAgainstReference:
             link: pathset.paths_through_link(link) for link in pathset.links
         } == reference.reference_link_masks(graph, paths)
         assert count_paths(graph, placement, mechanism, cutoff) == pathset.n_paths
-
-    @given(case=routing_cases(), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_forbidden_scoped_search_is_identical(self, case, data):
-        graph, _, _, cutoff = case
-        nodes = sorted(graph.nodes, key=repr)
-        source = data.draw(st.sampled_from(nodes))
-        targets = data.draw(st.sets(st.sampled_from(nodes)))
-        forbidden = data.draw(st.sets(st.sampled_from(nodes)))
-        expected = list(
-            reference.iter_simple_paths(graph, source, targets, cutoff, forbidden)
-        )
-        actual = _simple_paths(_IndexedGraph(graph), source, targets, cutoff, forbidden)
-        assert actual == expected
-
-    @given(case=routing_cases(), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_paths_through_edge_is_identical(self, case, data):
-        graph, placement, _, cutoff = case
-        arcs = [(u, v) for u, v in graph.edges() if u != v]
-        if not graph.is_directed():
-            arcs += [(v, u) for u, v in arcs]
-        if not arcs:
-            return
-        tail, head = data.draw(st.sampled_from(arcs))
-        source = data.draw(st.sampled_from(sorted(graph.nodes, key=repr)))
-        expected = list(
-            reference.paths_through_edge(
-                graph, source, placement.outputs, tail, head, cutoff
-            )
-        )
-        actual = _paths_through_edge(
-            _IndexedGraph(graph), source, placement.outputs, tail, head, cutoff
-        )
-        assert actual == expected
 
 
 class TestSmallFixtures:
@@ -219,27 +179,30 @@ class TestMaxPathsBoundary:
         assert count_paths(graph, placement, mechanism, max_paths=n) == n
 
     @pytest.mark.parametrize("mechanism", ("CSP", "CAP"))
-    def test_apply_delta(self, mechanism):
+    def test_evolve(self, mechanism):
         graph, placement = _cap_case()
-        parent = enumerate_paths(graph, placement, mechanism)
+        delta = DeltaSpec(add_links=((1, 3),))
+
+        def evolve(max_paths):
+            base = Scenario.from_components(
+                graph, placement, mechanism, max_paths=max_paths
+            )
+            return base.evolve(delta)
+
         evolved_graph = graph.copy()
         evolved_graph.add_edge(1, 3)
-        delta = PathSetDelta(add_links=((1, 3),))
-        fresh = enumerate_paths(evolved_graph, placement, mechanism)
-        n = fresh.n_paths
-        evolved = parent.apply_delta(
-            evolved_graph, placement, mechanism, delta, max_paths=n
-        )
-        assert evolved.paths == fresh.paths
+        n = count_paths(evolved_graph, placement, mechanism)
+        evolved = evolve(n)
+        assert evolved.pathset.paths == enumerate_paths(
+            evolved.graph, placement, mechanism
+        ).paths
         limits = [n - 1]
         if mechanism == "CAP":
             # Room for every open path but not the whole closed family.
-            limits.append(enumerate_paths(evolved_graph, placement, "CSP").n_paths + 1)
+            limits.append(count_paths(evolved_graph, placement, "CSP") + 1)
         for limit in limits:
             with pytest.raises(PathExplosionError):
-                parent.apply_delta(
-                    evolved_graph, placement, mechanism, delta, max_paths=limit
-                )
+                evolve(limit)
 
 
 class TestTypedLimits:
@@ -259,17 +222,6 @@ class TestTypedLimits:
         for call in (enumerate_paths, count_paths):
             with pytest.raises(RoutingError, match="cutoff"):
                 call(graph, placement, "CSP", cutoff=cutoff)
-
-    def test_apply_delta_checks_limits(self):
-        graph, placement = _cap_case()
-        parent = enumerate_paths(graph, placement)
-        evolved_graph = graph.copy()
-        evolved_graph.add_edge(1, 3)
-        delta = PathSetDelta(add_links=((1, 3),))
-        with pytest.raises(RoutingError, match="max_paths"):
-            parent.apply_delta(evolved_graph, placement, "CSP", delta, max_paths=0)
-        with pytest.raises(RoutingError, match="cutoff"):
-            parent.apply_delta(evolved_graph, placement, "CSP", delta, cutoff=2.0)
 
     def test_negative_cutoff_still_admits_no_path(self):
         graph, placement = _cap_case()
